@@ -10,7 +10,8 @@
 #                 workspace-only) + workspace tests + rustdoc +
 #                 trace-oracle smoke + bench gate + scenario-matrix
 #                 gate (run cold, then warm from the result cache with
-#                 byte-identity asserted between the two) + fluid-xval
+#                 byte-identity asserted between the two) + benchmark
+#                 smoke (benchmark/run.sh --quick) + fluid-xval
 #                 gate (DDE model vs packet anchors within committed
 #                 relative-error bands) + supervision gate (quarantine
 #                 exit codes, kill -9 mid-matrix resume) + shard-parity
@@ -136,6 +137,14 @@ case "$WARM_SUMMARY" in
         ;;
 esac
 diff -r "$REPRO_COLD" artifacts/repro
+
+echo "==> benchmark smoke (benchmark/run.sh --quick)"
+# Every benchmark workload on shortened cells, untraced and traced
+# (about a minute after its build). Not a timing gate: it proves the
+# benchmark still builds against the workspace and that every
+# workload's output checks hold; run.sh exits nonzero if any fails.
+# Results land in benchmark/out/ (ignored), the table goes to stdout.
+bash benchmark/run.sh --quick
 
 echo "==> fluid-xval gate (DDE model vs packet anchors)"
 # Cross-validates the fluid-model artifacts the scenario gate just

@@ -448,7 +448,9 @@ fn build_fattree_allreduce() -> FatTreeNet {
 /// Before the timed loop the same workload runs twice with tracing on —
 /// serial and under the default shard split — and the merged trace
 /// digests must be bit-identical, so the number below is anchored to a
-/// digest-verified run, not just "some packets moved".
+/// digest-verified run, not just "some packets moved". The anchor is
+/// the arrival and timer counts: a traced run also dispatches the
+/// transmit completions the untraced, timed run elides.
 fn measure_fattree(r: &mut Runner) {
     const RUN: SimDuration = SimDuration::from_millis(40);
     let traced = |target: usize| {
@@ -457,24 +459,25 @@ fn measure_fattree(r: &mut Runner) {
         sim.enable_trace(dctcp_sim::TraceConfig::all());
         sim.run_for(RUN).unwrap();
         let digest = sim.take_trace().digest();
-        (digest, sim.events_processed())
+        (digest, sim.event_counts())
     };
-    let (serial_digest, serial_events) = traced(1);
-    let (sharded_digest, sharded_events) = traced(4);
+    let (serial_digest, serial_counts) = traced(1);
+    let (sharded_digest, sharded_counts) = traced(4);
     assert_eq!(
-        (serial_digest, serial_events),
-        (sharded_digest, sharded_events),
+        (serial_digest, serial_counts),
+        (sharded_digest, sharded_counts),
         "fat-tree allreduce must be bit-identical serial vs sharded"
     );
     r.bench_events(FATTREE_BENCH, || {
         let mut sim = ShardedSimulator::new(build_fattree_allreduce().network).unwrap();
         sim.run_for(RUN).unwrap();
+        let counts = sim.event_counts();
         assert_eq!(
-            sim.events_processed(),
-            serial_events,
+            (counts.arrivals, counts.timers),
+            (serial_counts.arrivals, serial_counts.timers),
             "timed fat-tree run diverged from the digest-verified reference"
         );
-        sim.events_processed()
+        counts.dispatched()
     });
 }
 

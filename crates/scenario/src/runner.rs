@@ -1308,9 +1308,17 @@ k2 = 25 pkts
         assert!(err.contains("panicked"), "{err}");
     }
 
+    /// A stalled `dctcp` cell next to a healthy `dt` one. The stalled
+    /// cell sleeps until cancelled, so the deadline costs no CPU; it is
+    /// 2 s (not tens of ms) so the healthy cell — a few ms of work —
+    /// cannot miss it too when the whole test suite shares two cores.
+    fn stalled_cell_spec() -> ScenarioSpec {
+        two_cell_spec_with("retries = 0\ndeadline = 2 s\ninject_stall = dctcp:2:1\n")
+    }
+
     #[test]
     fn deadline_trips_quarantine_with_config_only_message() {
-        let spec = two_cell_spec_with("retries = 0\ndeadline = 50 ms\ninject_stall = dctcp:2:1\n");
+        let spec = stalled_cell_spec();
         let (a, s) = run_scenario_supervised(&spec, 2, None);
         assert_eq!(a.points.len(), 1);
         assert_eq!(a.failures.len(), 1);
@@ -1376,7 +1384,7 @@ k2 = 25 pkts
     fn deadline_failures_are_never_replayed() {
         // A deadline miss depends on machine speed, so resumes re-run
         // the cell instead of trusting the journal.
-        let spec = two_cell_spec_with("retries = 0\ndeadline = 50 ms\ninject_stall = dctcp:2:1\n");
+        let spec = stalled_cell_spec();
         let cache = tmp_cache("deadline");
 
         let (cold, s) = run_scenario_supervised(&spec, 2, Some(&cache));

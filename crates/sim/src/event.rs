@@ -63,7 +63,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fault::FaultAction;
@@ -153,11 +153,12 @@ const COMPACT_MIN: usize = 256;
 /// by debug assertions in [`EventQueue::next_seq`].
 pub(crate) const SEQ_COUNTER_BITS: u32 = 40;
 
-/// Identity-strength hasher for [`TimerToken`]s, which are sequential
-/// `u64`s: one multiply by a 64-bit odd constant spreads the low bits
-/// without SipHash's per-lookup cost on the cancellation set.
+/// Identity-strength hasher for the simulator's own integer ids
+/// ([`TimerToken`]s, flow ids), which are sequential or tagged `u64`s:
+/// one multiply by a 64-bit odd constant spreads the low bits without
+/// SipHash's per-lookup cost. Not for keys from outside the program.
 #[derive(Debug, Default)]
-pub(crate) struct TokenHasher(u64);
+pub struct TokenHasher(u64);
 
 impl Hasher for TokenHasher {
     fn finish(&self) -> u64 {
@@ -177,6 +178,12 @@ impl Hasher for TokenHasher {
 }
 
 type TokenSet = HashSet<TimerToken, BuildHasherDefault<TokenHasher>>;
+
+/// A `HashMap` keyed by a simulator-issued integer id
+/// ([`TimerToken`], [`FlowId`](crate::FlowId)) under the engine's
+/// one-multiply hasher — for per-packet and per-timer demux tables,
+/// where the default SipHash is most of the lookup.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<TokenHasher>>;
 
 /// A deterministic future-event list: earliest deadline first, FIFO among
 /// equal deadlines. See the module docs for the structure.

@@ -72,6 +72,7 @@ mod topology;
 
 pub use cancel::CancelToken;
 pub use error::SimError;
+pub use event::IdMap;
 pub use fault::{FaultAction, FaultEvent, FaultPlan};
 pub use flow_table::{FlowTable, FlowTableError};
 pub use ids::{FlowId, LinkId, NodeId, TimerToken};
@@ -82,7 +83,7 @@ pub use queue::{
     Capacity, LossModel, Offer, OutputQueue, QueueConfig, QueueCounters, QueueReport, ReorderModel,
 };
 pub use shard::ShardedSimulator;
-pub use simulator::Simulator;
+pub use simulator::{EventCounts, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::{FatTree, FatTreeIds, FatTreeNet, Network, Routes, TierSpec, TopologyBuilder};
 

@@ -57,7 +57,7 @@ use dctcp_parallel::{drive_windows, WindowError};
 use dctcp_trace::{merge_logs, TraceConfig, TraceLog};
 
 use crate::link::Link;
-use crate::simulator::{CrossPacket, ShardCtx};
+use crate::simulator::{CrossPacket, EventCounts, ShardCtx};
 use crate::{
     Agent, FaultPlan, LinkId, Network, NodeId, QueueReport, SimDuration, SimError, SimTime,
     Simulator,
@@ -388,11 +388,23 @@ impl ShardedSimulator {
 
     /// Total events dispatched across all shards. Cross-shard arrivals
     /// and replicated fault events are counted once, so this equals the
-    /// serial engine's count for the same scenario.
+    /// serial engine's count for the same scenario. Elided transmit
+    /// completions are not counted (see [`Simulator::events_processed`]).
     pub fn events_processed(&self) -> u64 {
+        self.event_counts().dispatched()
+    }
+
+    /// Dispatched events by kind plus elided transmit completions,
+    /// summed over shards (see [`Simulator::event_counts`]); equal to
+    /// the serial engine's counts for the same scenario.
+    pub fn event_counts(&self) -> EventCounts {
         match &self.mode {
-            Mode::Serial(sim) => sim.events_processed(),
-            Mode::Sharded(s) => s.shards.iter().map(Simulator::events_processed).sum(),
+            Mode::Serial(sim) => sim.event_counts(),
+            Mode::Sharded(s) => s
+                .shards
+                .iter()
+                .map(Simulator::event_counts)
+                .fold(EventCounts::default(), std::ops::Add::add),
         }
     }
 

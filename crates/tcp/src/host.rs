@@ -2,10 +2,9 @@
 //! host.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use dctcp_sim::{
-    Agent, Context, FlowId, NodeId, Packet, PacketKind, SimDuration, SimTime, TimerToken,
+    Agent, Context, FlowId, IdMap, NodeId, Packet, PacketKind, SimDuration, SimTime, TimerToken,
 };
 use dctcp_trace::{TraceKind, TraceScope};
 
@@ -56,9 +55,9 @@ enum TimerEvent {
 #[derive(Debug)]
 pub struct TransportHost {
     default_cfg: TcpConfig,
-    senders: HashMap<FlowId, Sender>,
-    receivers: HashMap<FlowId, Receiver>,
-    timers: HashMap<TimerToken, TimerEvent>,
+    senders: IdMap<FlowId, Sender>,
+    receivers: IdMap<FlowId, Receiver>,
+    timers: IdMap<TimerToken, TimerEvent>,
     scheduled: Vec<ScheduledFlow>,
     trace_senders: bool,
     /// Flows that never started because their configuration failed
@@ -78,9 +77,9 @@ impl TransportHost {
         default_cfg.validate().expect("invalid TcpConfig");
         TransportHost {
             default_cfg,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-            timers: HashMap::new(),
+            senders: IdMap::default(),
+            receivers: IdMap::default(),
+            timers: IdMap::default(),
             scheduled: Vec::new(),
             trace_senders: false,
             config_errors: Vec::new(),
@@ -158,7 +157,7 @@ impl TransportHost {
 /// timer ownership in the host's dispatch table.
 struct CtxWire<'a, 'c> {
     ctx: &'a mut Context<'c>,
-    timers: &'a mut HashMap<TimerToken, TimerEvent>,
+    timers: &'a mut IdMap<TimerToken, TimerEvent>,
     flow: FlowId,
 }
 

@@ -308,7 +308,9 @@ pub struct CollectiveReport {
     pub drops: u64,
     /// Retransmission timeouts summed over every participant.
     pub timeouts: u64,
-    /// Events processed by the engine.
+    /// Events dispatched by the engine; transmit completions it elided
+    /// (nothing waited on them) are not counted — see
+    /// `dctcp_sim::Simulator::events_processed`.
     pub events: u64,
 }
 

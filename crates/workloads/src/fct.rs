@@ -101,9 +101,11 @@ pub struct FctReport {
     pub stale_events: u64,
     /// Incarnations adopted in place by sink receivers.
     pub recycled_receivers: u64,
-    /// Simulation events the engine processed for the whole run —
+    /// Simulation events the engine dispatched for the whole run —
     /// shard-count-invariant, so it doubles as a determinism
-    /// fingerprint and feeds the churn bench's events/sec rate.
+    /// fingerprint and feeds the churn bench's events/sec rate. Transmit
+    /// completions the engine elided (nothing waited on them) are not
+    /// counted; see `dctcp_sim::Simulator::events_processed`.
     pub events: u64,
 }
 

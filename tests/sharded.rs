@@ -6,8 +6,8 @@
 
 use dt_dctcp::core::MarkingScheme;
 use dt_dctcp::sim::{
-    Agent, Capacity, Context, FaultPlan, FlowId, LinkId, LinkSpec, Network, NodeId, Packet,
-    QueueConfig, ShardedSimulator, SimDuration, SimTime, TopologyBuilder,
+    Agent, Capacity, Context, EventCounts, FaultPlan, FlowId, LinkId, LinkSpec, Network, NodeId,
+    Packet, QueueConfig, ShardedSimulator, SimDuration, SimTime, TopologyBuilder,
 };
 use dt_dctcp::tcp::{ScheduledFlow, TcpConfig, TransportHost};
 use dt_dctcp::trace::{oracle, TraceConfig, TraceDigest};
@@ -79,7 +79,7 @@ struct DumbbellIds {
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     digest: TraceDigest,
-    events: u64,
+    counts: EventCounts,
     ended_at_ns: u64,
     bytes_received: u64,
     segments_sent: u64,
@@ -95,9 +95,24 @@ fn run_dumbbell(
     q: QueueConfig,
     plan: impl FnOnce(&DumbbellIds) -> FaultPlan,
 ) -> (Fingerprint, usize) {
+    run_dumbbell_traced(true, target, horizon, q, plan)
+}
+
+/// [`run_dumbbell`] with engine tracing optional: off, the digest is
+/// empty and the engine elides the transmit completions nothing waits
+/// on.
+fn run_dumbbell_traced(
+    traced: bool,
+    target: usize,
+    horizon: SimDuration,
+    q: QueueConfig,
+    plan: impl FnOnce(&DumbbellIds) -> FaultPlan,
+) -> (Fingerprint, usize) {
     let (net, ids) = dumbbell(q, MB / 2);
     let mut sim = ShardedSimulator::with_shards(net, target).unwrap();
-    sim.enable_trace(TraceConfig::all());
+    if traced {
+        sim.enable_trace(TraceConfig::all());
+    }
     sim.install_faults(&plan(&ids)).unwrap();
     sim.run_for(horizon).unwrap();
     let log = sim.take_trace();
@@ -118,7 +133,7 @@ fn run_dumbbell(
     (
         Fingerprint {
             digest: log.digest(),
-            events: sim.events_processed(),
+            counts: sim.event_counts(),
             ended_at_ns: sim.now().as_nanos(),
             bytes_received,
             segments_sent,
@@ -196,6 +211,51 @@ fn randomized_chaos_matches_serial_per_seed() {
         assert!(n >= 2);
         assert_eq!(serial, sharded, "chaos seed {seed} diverged under sharding");
     }
+}
+
+/// Untraced, the engine schedules a transmit completion only when a
+/// backlog waits on it. Which ones those are is decided by state local
+/// to the transmitting link end, so the by-kind event counts — elided
+/// completions included — match at every shard count, and everything
+/// but the event count matches the traced (eager) run.
+#[test]
+fn untraced_event_counts_match_across_shard_counts() {
+    fn check(q: QueueConfig, plan: impl Fn(&DumbbellIds) -> FaultPlan) {
+        let horizon = SimDuration::from_secs(6);
+        let (serial, _) = run_dumbbell_traced(false, 1, horizon, q, &plan);
+        assert!(serial.counts.tx_elided > 0 && serial.counts.tx_completions > 0);
+        for target in [2, 4] {
+            let (sharded, n) = run_dumbbell_traced(false, target, horizon, q, &plan);
+            assert!(n >= 2, "target {target} fell back to serial");
+            assert_eq!(serial, sharded, "untraced target {target} diverged");
+        }
+        let (eager, _) = run_dumbbell(1, horizon, q, &plan);
+        assert_eq!(eager.counts.tx_elided, 0);
+        assert_eq!(
+            eager.counts.tx_completions,
+            serial.counts.tx_completions + serial.counts.tx_elided
+        );
+        assert!(serial.counts.dispatched() < eager.counts.dispatched());
+        let results = |f: &Fingerprint| {
+            (
+                f.ended_at_ns,
+                f.bytes_received,
+                f.segments_sent,
+                f.bottleneck_counters,
+            )
+        };
+        assert_eq!(results(&eager), results(&serial), "tracing changed results");
+    }
+    check(clean_queue(), |_| FaultPlan::new());
+    check(clean_queue(), |ids| {
+        FaultPlan::new().flap(
+            ids.bottleneck,
+            SimTime::ZERO + SimDuration::from_millis(10),
+            SimDuration::from_millis(5),
+            SimDuration::from_millis(15),
+            2,
+        )
+    });
 }
 
 /// Fires `count` same-sized packets at `peer` the moment the clock
