@@ -8,10 +8,11 @@
 #                 breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + rustdoc +
-#                 trace-oracle smoke + bench gate + scenario-matrix
-#                 gate (run cold, then warm from the result cache with
+#                 trace-oracle smoke + scenario-matrix gate (run
+#                 cold, then warm from the result cache with
 #                 byte-identity asserted between the two) + benchmark
-#                 smoke (benchmark/run.sh --quick) + fluid-xval
+#                 lint and smoke (benchmark/check.sh, then
+#                 benchmark/run.sh --quick) + fluid-xval
 #                 gate (DDE model vs packet anchors within committed
 #                 relative-error bands) + supervision gate (quarantine
 #                 exit codes, kill -9 mid-matrix resume) + shard-parity
@@ -84,22 +85,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> trace-oracle smoke (traced run through the invariant oracle)"
 cargo run --offline --release --example trace_dump -- --oracle
 
-echo "==> bench gate (committed baseline + fresh harness run)"
-# Two halves, both deterministic. First: the committed BENCH_sim.json
-# must satisfy bench_check (schema, min-of-3-batches protocol, and the
-# trace_overhead band [0.95, 1.02] on the ratio recorded at re-baseline
-# time). Second: a fresh harness run into a scratch file must produce a
-# valid report. The fresh run deliberately starts from an empty scratch
-# path, so no cross-machine trace_overhead ratio is computed - shared
-# CI machines drift 20%+ between runs, which would make a fresh-vs-
-# committed timing ratio a coin flip. Timing ratios are only meaningful
-# same-machine: see the re-baseline protocol in EXPERIMENTS.md.
-cargo run --offline --release -q -p dctcp-bench --bin bench_check "$PWD/BENCH_sim.json"
-BENCH_SCRATCH="$(mktemp -t bench_ci.XXXXXX.json)"
-trap 'rm -f "$BENCH_SCRATCH"' EXIT
-cargo bench --offline -p dctcp-bench --bench engine -- --json "$BENCH_SCRATCH"
-cargo run --offline --release -q -p dctcp-bench --bin bench_check "$BENCH_SCRATCH"
-
 echo "==> scenario-matrix gate (cold repro -> repro_check -> warm repro)"
 # Runs every committed scenario through the simulator and validates the
 # resulting artifacts against the regression envelopes encoded in the
@@ -118,7 +103,7 @@ cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
 cargo run --offline --release -q -p dctcp-scenario --bin repro_check -- \
     --artifacts artifacts/repro --all scenarios/
 REPRO_COLD="$(mktemp -d -t repro_cold.XXXXXX)"
-trap 'rm -f "$BENCH_SCRATCH"; rm -rf "$REPRO_COLD"' EXIT
+trap 'rm -rf "$REPRO_COLD"' EXIT
 cp artifacts/repro/*.json "$REPRO_COLD"/
 WARM_SUMMARY="$(cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
     --out artifacts/repro --cache artifacts/cache --all scenarios/)"
@@ -137,6 +122,12 @@ case "$WARM_SUMMARY" in
         ;;
 esac
 diff -r "$REPRO_COLD" artifacts/repro
+
+echo "==> benchmark lint + self-tests (benchmark/check.sh)"
+# The benchmark is a stand-alone package outside the workspace, so the
+# fmt/clippy/test steps above never see it: rustfmt, clippy with
+# warnings denied and its unit tests run here.
+bash benchmark/check.sh
 
 echo "==> benchmark smoke (benchmark/run.sh --quick)"
 # Every benchmark workload on shortened cells, untraced and traced
@@ -170,7 +161,7 @@ echo "==> supervision gate (quarantine exit codes + kill -9 resume)"
 # cells and render artifacts byte-identical to the uninterrupted cold
 # pass above.
 SUP_DIR="$(mktemp -d -t supervise.XXXXXX)"
-trap 'rm -f "$BENCH_SCRATCH"; rm -rf "$REPRO_COLD" "$SUP_DIR"' EXIT
+trap 'rm -rf "$REPRO_COLD" "$SUP_DIR"' EXIT
 cat > "$SUP_DIR/broken.scn" <<'EOF'
 [scenario]
 name = broken
@@ -273,7 +264,7 @@ echo "==> shard-parity gate (serial vs sharded artifact diff)"
 # DCTCP_SIM_SHARDS; the rendered artifacts must then diff clean byte
 # for byte across 1, 2 and 4 shards.
 PARITY_DIR="$(mktemp -d -t shard_parity.XXXXXX)"
-trap 'rm -f "$BENCH_SCRATCH"; rm -rf "$REPRO_COLD" "$SUP_DIR" "$PARITY_DIR"' EXIT
+trap 'rm -rf "$REPRO_COLD" "$SUP_DIR" "$PARITY_DIR"' EXIT
 for PARITY_NAME in fault_recovery fattree_incast; do
     for SHARDS in 1 2 4; do
         DCTCP_SIM_SHARDS="$SHARDS" cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
@@ -296,7 +287,7 @@ echo "==> fct-parity gate (threads x shards byte-identity on the churn scenario)
 # named explicitly so the uploaded artifact can be found; any other
 # nonzero exit fails too.
 FCT_DIR="$(mktemp -d -t fct_parity.XXXXXX)"
-trap 'rm -f "$BENCH_SCRATCH"; rm -rf "$REPRO_COLD" "$SUP_DIR" "$PARITY_DIR" "$FCT_DIR"' EXIT
+trap 'rm -rf "$REPRO_COLD" "$SUP_DIR" "$PARITY_DIR" "$FCT_DIR"' EXIT
 for LAYOUT in t2_s1 t1_s2 t2_s4; do
     FCT_THREADS="${LAYOUT%_s*}"
     FCT_THREADS="${FCT_THREADS#t}"

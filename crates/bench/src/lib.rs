@@ -13,9 +13,6 @@ use std::path::PathBuf;
 
 use dctcp_workloads::{Scale, Table};
 
-pub mod harness;
-pub use harness::Runner;
-
 /// Parsed command-line options common to all figure binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FigArgs {

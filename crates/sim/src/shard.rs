@@ -47,9 +47,14 @@
 //!
 //! One node, one requested shard, a zero-delay cross link, or no cross
 //! links at all: the wrapper silently runs the plain serial engine. The
-//! `DCTCP_SIM_SHARDS` environment variable overrides the shard count
-//! (`0`/`1` force serial); unset, it defaults to the machine's available
-//! parallelism.
+//! `DCTCP_SIM_SHARDS` environment variable sets the shard count for
+//! [`ShardedSimulator::new`]: unset, `0` and `1` all mean serial, and
+//! `N ≥ 2` opts in to `N` shards. Sharding is never automatic — the
+//! callers that fan runs out across cores (`repro`, the sweep drivers)
+//! already keep every core busy with whole cells, and `N` shards nested
+//! inside `N` workers only adds barrier traffic (on two cores the
+//! committed matrix ran ~1.7× slower that way; numbers in
+//! EXPERIMENTS.md).
 
 use std::sync::Arc;
 
@@ -217,21 +222,27 @@ fn partition(num_nodes: usize, links: &[Link], target: usize) -> Option<Partitio
 }
 
 /// Shard count requested by the environment: `DCTCP_SIM_SHARDS` if set,
-/// otherwise the machine's available parallelism.
+/// otherwise 1 (serial).
 fn shards_from_env() -> Result<usize, SimError> {
     match std::env::var("DCTCP_SIM_SHARDS") {
-        Err(std::env::VarError::NotPresent) => Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)),
+        Err(std::env::VarError::NotPresent) => parse_shards(None),
         Err(std::env::VarError::NotUnicode(_)) => Err(SimError::InvalidConfig(
             "DCTCP_SIM_SHARDS is not valid unicode".into(),
         )),
-        Ok(v) => v.trim().parse::<usize>().map_err(|_| {
-            SimError::InvalidConfig(format!(
-                "DCTCP_SIM_SHARDS={v:?} is not a non-negative integer"
-            ))
-        }),
+        Ok(v) => parse_shards(Some(&v)),
     }
+}
+
+/// The shard target for a `DCTCP_SIM_SHARDS` value (`None` = unset).
+fn parse_shards(value: Option<&str>) -> Result<usize, SimError> {
+    let Some(v) = value else {
+        return Ok(1);
+    };
+    v.trim().parse::<usize>().map_err(|_| {
+        SimError::InvalidConfig(format!(
+            "DCTCP_SIM_SHARDS={v:?} is not a non-negative integer"
+        ))
+    })
 }
 
 /// The sharded engine state when a decomposition was found.
@@ -262,9 +273,9 @@ enum Mode {
 ///
 /// See the module-level docs in `crates/sim/src/shard.rs` for the
 /// synchronization protocol and the determinism argument. Shard count
-/// comes from `DCTCP_SIM_SHARDS` (or
-/// the machine's parallelism) via [`ShardedSimulator::new`], or
-/// explicitly via [`ShardedSimulator::with_shards`].
+/// comes from `DCTCP_SIM_SHARDS` (serial when unset) via
+/// [`ShardedSimulator::new`], or explicitly via
+/// [`ShardedSimulator::with_shards`].
 #[derive(Debug)]
 pub struct ShardedSimulator {
     mode: Mode,
@@ -272,7 +283,7 @@ pub struct ShardedSimulator {
 
 impl ShardedSimulator {
     /// Creates a sharded simulator with the environment-selected shard
-    /// count (`DCTCP_SIM_SHARDS`, else available parallelism).
+    /// count (`DCTCP_SIM_SHARDS`, else 1: serial).
     ///
     /// # Errors
     ///
@@ -952,13 +963,23 @@ mod tests {
     }
 
     #[test]
-    fn env_override_is_validated() {
-        // Not touching the process env (racy): exercise the parser path
-        // through with_shards' serial fallback instead, and the error
-        // variant directly.
-        let err = "abc".parse::<usize>().map_err(|_| {
-            SimError::InvalidConfig("DCTCP_SIM_SHARDS=\"abc\" is not a non-negative integer".into())
-        });
-        assert!(matches!(err, Err(SimError::InvalidConfig(_))));
+    fn env_shard_count_is_opt_in_and_validated() {
+        // The parser, not the process env (mutating that is racy).
+        // Unset means serial: sharding is never automatic.
+        assert_eq!(parse_shards(None).unwrap(), 1);
+        assert_eq!(parse_shards(Some("0")).unwrap(), 0);
+        assert_eq!(parse_shards(Some("1")).unwrap(), 1);
+        assert_eq!(parse_shards(Some(" 2 ")).unwrap(), 2);
+        for garbage in ["abc", "-1", "", "2.5"] {
+            assert!(
+                matches!(parse_shards(Some(garbage)), Err(SimError::InvalidConfig(_))),
+                "{garbage:?} must be rejected"
+            );
+        }
+        // 0 and 1 both resolve to the serial engine; 2 still shards.
+        for (target, shards) in [(0, 1), (1, 1), (2, 2)] {
+            let sim = ShardedSimulator::with_shards(two_rack_network(1), target).unwrap();
+            assert_eq!(sim.shard_count(), shards);
+        }
     }
 }

@@ -7,11 +7,9 @@
 //! * [`TimeWeighted`] — *time-weighted* moments of a piecewise-constant
 //!   signal such as a queue length, integrated exactly between updates.
 //! * [`TimeSeries`] — a `(time, value)` trace with resampling and windowing.
-//! * [`Quantiles`] / [`P2Quantile`] — exact and streaming quantile
-//!   estimation for completion-time tails.
+//! * [`Quantiles`] — exact quantiles for completion-time tails.
 //! * [`QuantileSketch`] — mergeable log-binned quantile sketch with
 //!   bounded relative error, for million-flow FCT tails.
-//! * [`Histogram`] — fixed-width binning.
 //! * [`ThroughputMeter`] — byte counters over an observation window.
 //! * [`oscillation`] — mean-crossing cycle detection and peak-to-trough
 //!   amplitude over a queue trace.
@@ -35,7 +33,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod fairness;
-mod histogram;
 mod oscillation;
 mod quantile;
 mod series;
@@ -45,9 +42,8 @@ mod time_weighted;
 mod welford;
 
 pub use fairness::jain_fairness_index;
-pub use histogram::Histogram;
 pub use oscillation::{oscillation, OscillationSummary};
-pub use quantile::{P2Quantile, Quantiles};
+pub use quantile::Quantiles;
 pub use series::{SeriesSummary, TimeSeries};
 pub use sketch::{QuantileSketch, SKETCH_ALPHA};
 pub use throughput::ThroughputMeter;

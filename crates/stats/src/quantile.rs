@@ -1,4 +1,4 @@
-//! Exact and streaming quantile estimation.
+//! Exact quantile estimation.
 
 /// Exact quantiles over a stored sample set.
 ///
@@ -124,168 +124,9 @@ impl FromIterator<f64> for Quantiles {
     }
 }
 
-/// Streaming quantile estimator using the P² (piecewise-parabolic)
-/// algorithm of Jain & Chlamtac.
-///
-/// Estimates a single quantile in O(1) memory, for long simulations where
-/// storing every sample (e.g. per-packet queueing delays) is impractical.
-/// Accuracy is typically within a fraction of a percent for smooth
-/// distributions.
-///
-/// # Examples
-///
-/// ```
-/// use dctcp_stats::P2Quantile;
-///
-/// let mut p95 = P2Quantile::new(0.95);
-/// for i in 0..10_000 {
-///     p95.push((i % 1000) as f64);
-/// }
-/// let est = p95.estimate().unwrap();
-/// assert!((est - 949.0).abs() < 15.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    p: f64,
-    /// Marker heights.
-    q: [f64; 5],
-    /// Marker positions (1-based).
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Desired position increments.
-    dn: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `p`-quantile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "p2 quantile {p} outside (0, 1)");
-        Self {
-            p,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// The target quantile given at construction.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Adds a sample. Non-finite samples are ignored.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                for (i, &v) in self.initial.iter().enumerate() {
-                    self.q[i] = v;
-                }
-            }
-            return;
-        }
-
-        // Find cell k such that q[k] <= x < q[k+1], adjusting extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.q[i] <= x && x < self.q[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let qp = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qp && qp < self.q[i + 1] {
-                    qp
-                } else {
-                    self.linear(i, d)
-                };
-                self.n[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.q;
-        let n = &self.n;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// Current estimate, or `None` with fewer than one sample. With fewer
-    /// than five samples the exact quantile of the buffered samples is
-    /// returned.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.initial.len() < 5 {
-            let mut v = self.initial.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let pos = self.p * (v.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            let frac = pos - lo as f64;
-            return Some(v[lo] * (1.0 - frac) + v[hi] * frac);
-        }
-        Some(self.q[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dctcp_rng::Pcg32;
 
     #[test]
     fn exact_quantiles_on_ramp() {
@@ -314,36 +155,5 @@ mod tests {
         q.push(1.0);
         assert_eq!(q.len(), 1);
         assert_eq!(q.median(), Some(1.0));
-    }
-
-    #[test]
-    fn p2_tracks_uniform() {
-        let mut rng = Pcg32::seed_from_u64(7);
-        let mut est = P2Quantile::new(0.9);
-        for _ in 0..100_000 {
-            est.push(rng.next_f64());
-        }
-        let e = est.estimate().unwrap();
-        assert!((e - 0.9).abs() < 0.01, "p2 estimate {e} too far from 0.9");
-    }
-
-    #[test]
-    fn p2_small_sample_is_exact() {
-        let mut est = P2Quantile::new(0.5);
-        est.push(3.0);
-        est.push(1.0);
-        est.push(2.0);
-        assert_eq!(est.estimate(), Some(2.0));
-    }
-
-    #[test]
-    fn p2_empty_is_none() {
-        assert_eq!(P2Quantile::new(0.5).estimate(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1)")]
-    fn p2_rejects_bad_p() {
-        let _ = P2Quantile::new(1.0);
     }
 }

@@ -315,8 +315,8 @@ pub struct CollectiveReport {
 }
 
 /// Runs one collective to completion (or to its horizon) and reports.
-/// Honours `DCTCP_SIM_SHARDS`; results are bit-identical at any shard
-/// or thread count.
+/// Serial unless `DCTCP_SIM_SHARDS` asks for `N ≥ 2` shards; results
+/// are bit-identical at any shard or thread count.
 ///
 /// # Errors
 ///

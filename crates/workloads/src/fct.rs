@@ -52,7 +52,8 @@ pub struct FctScenarioBuilder {
 /// An instantiated FCT scenario: the simulator plus node/link handles.
 #[derive(Debug)]
 pub struct FctInstance {
-    /// The ready-to-run simulator. Honours `DCTCP_SIM_SHARDS`.
+    /// The ready-to-run simulator. Serial unless `DCTCP_SIM_SHARDS`
+    /// asks for `N ≥ 2` shards.
     pub sim: ShardedSimulator,
     /// Churn source hosts, rack-major order.
     pub sources: Vec<NodeId>,
@@ -171,7 +172,7 @@ impl FctScenario {
     }
 
     /// Builds the topology without running it, letting
-    /// `DCTCP_SIM_SHARDS` pick the shard count.
+    /// `DCTCP_SIM_SHARDS` pick the shard count (serial when unset).
     ///
     /// # Errors
     ///

@@ -38,8 +38,9 @@ pub struct LongLivedScenarioBuilder {
 /// or to interleave runs with mid-experiment inspection.
 #[derive(Debug)]
 pub struct LongLivedInstance {
-    /// The ready-to-run simulator (no warm-up performed). Honours
-    /// `DCTCP_SIM_SHARDS`; results are bit-identical at any shard count.
+    /// The ready-to-run simulator (no warm-up performed). Serial unless
+    /// `DCTCP_SIM_SHARDS` asks for `N ≥ 2` shards; results are
+    /// bit-identical at any shard count.
     pub sim: ShardedSimulator,
     /// The receiver host aggregating all flows.
     pub rx: NodeId,
