@@ -101,102 +101,181 @@ impl DdeModel {
     ///
     /// Panics unless `0 < dt <= rtt` and `sample_every >= 1`.
     pub fn run_sampled(&mut self, duration: f64, dt: f64, sample_every: usize) -> FluidSolution {
-        assert!(
-            dt > 0.0 && dt <= self.params.rtt,
-            "dt {dt} outside (0, rtt]"
-        );
-        assert!(sample_every >= 1);
-        let p = self.params;
-        let steps = (duration / dt).round().max(1.0) as usize;
-        let tau = p.rtt;
-        // Delay in step units; >= 1 because dt <= tau.
-        let lag = tau / dt;
-        let ring = lag.ceil() as usize + 1;
-
-        let init = (p.w_init, p.alpha_init, p.q_init);
-        // Full-state history ring: slot `step % ring` holds the state at
-        // `step`; pre-history reads resolve to the initial state.
-        let mut hist = vec![init; ring];
-        // The marking automaton consumes the *lagged* queue trajectory,
-        // which advances monotonically with t — one stateful pass.
-        let mut marking = MarkingState::new(p.marking, p.q_init);
-
-        let (mut w, mut alpha, mut q) = init;
-        let cap = steps / sample_every + 2;
+        let cap = step_count(duration, dt) / sample_every.max(1) + 2;
         let mut sol = FluidSolution {
             w: TimeSeries::with_capacity(cap),
             alpha: TimeSeries::with_capacity(cap),
             q: TimeSeries::with_capacity(cap),
             p: TimeSeries::with_capacity(cap),
         };
-
-        for step in 0..=steps {
-            let t = step as f64 * dt;
-            // Lagged state at t − τ via linear interpolation between the
-            // two bracketing history slots (deterministic: pure f64
-            // arithmetic on stored samples).
-            let pos = step as f64 - lag;
-            let (wl, al, ql) = if pos <= 0.0 {
-                init
-            } else {
-                let j = pos.floor() as usize;
-                let frac = pos - j as f64;
-                let (w0, a0, q0) = hist[j % ring];
-                let (w1, a1, q1) = hist[(j + 1) % ring];
-                (
-                    w0 + frac * (w1 - w0),
-                    a0 + frac * (a1 - a0),
-                    q0 + frac * (q1 - q0),
-                )
-            };
-            let sigma = marking.step(ql);
-            let rl = p.rtt + ql / p.capacity_pps;
-
-            if step % sample_every == 0 {
+        let p = &self.params;
+        integrate(
+            p,
+            [p.flows],
+            duration,
+            dt,
+            sample_every,
+            |_, t, w, a, q, s| {
                 sol.w.push(t, w);
-                sol.alpha.push(t, alpha);
+                sol.alpha.push(t, a);
                 sol.q.push(t, q);
-                sol.p.push(t, sigma);
-            }
-            if step == steps {
-                break;
-            }
-
-            // RK4 on the undelayed part of the state, with the lagged
-            // terms (piecewise-linear, and σ binary) held over the step.
-            let decrease = wl * al / (2.0 * rl) * sigma;
-            let f = |w: f64, a: f64, q: f64| -> (f64, f64, f64) {
-                let r = p.rtt + q / p.capacity_pps;
-                let dw = 1.0 / r - decrease;
-                let da = p.g / rl * (sigma - a);
-                let mut dq = p.flows * w / r - p.capacity_pps;
-                if q <= 0.0 {
-                    dq = dq.max(0.0); // queue cannot drain below empty
-                }
-                (dw, da, dq)
-            };
-            let (k1w, k1a, k1q) = f(w, alpha, q);
-            let (k2w, k2a, k2q) = f(
-                w + 0.5 * dt * k1w,
-                alpha + 0.5 * dt * k1a,
-                q + 0.5 * dt * k1q,
-            );
-            let (k3w, k3a, k3q) = f(
-                w + 0.5 * dt * k2w,
-                alpha + 0.5 * dt * k2a,
-                q + 0.5 * dt * k2q,
-            );
-            let (k4w, k4a, k4q) = f(w + dt * k3w, alpha + dt * k3a, q + dt * k3q);
-            w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w);
-            alpha += dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a);
-            q += dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q);
-            w = w.max(0.0);
-            alpha = alpha.clamp(0.0, 1.0);
-            q = q.max(0.0);
-
-            hist[(step + 1) % ring] = (w, alpha, q);
-        }
+                sol.p.push(t, s);
+            },
+        );
         sol
+    }
+}
+
+/// Number of RK4 steps [`integrate`] takes over `duration`.
+fn step_count(duration: f64, dt: f64) -> usize {
+    (duration / dt).round().max(1.0) as usize
+}
+
+/// `(W, α, q)` of every lane: one integrator state or history slot.
+#[derive(Clone, Copy)]
+struct Lanes<const L: usize> {
+    w: [f64; L],
+    a: [f64; L],
+    q: [f64; L],
+}
+
+/// The DDE's one RK4 loop: integrates `L` operating points of `base`
+/// that differ only in `flows` (`base.flows` is ignored), in lockstep.
+///
+/// The points share `τ` and `dt`, so the history-ring index and the
+/// interpolation fraction are computed once per step for all lanes.
+/// Lane `i` performs exactly the IEEE-754 operations, in the same order,
+/// that a one-lane run at `flows[i]` performs — lanes never mix — so
+/// every lane's trajectory is bit-identical to integrating its point
+/// alone; lanes only buy independent divides that overlap in the
+/// pipeline. At every `sample_every`-th step `sink(lane, t, w, α, q, σ)`
+/// is called for each lane in lane order.
+///
+/// # Panics
+///
+/// Panics unless `0 < dt <= rtt` (the history ring must span the
+/// feedback delay) and `sample_every >= 1`.
+// Every per-lane loop indexes several parallel arrays by lane.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn integrate<const L: usize>(
+    base: &FluidParams,
+    flows: [f64; L],
+    duration: f64,
+    dt: f64,
+    sample_every: usize,
+    mut sink: impl FnMut(usize, f64, f64, f64, f64, f64),
+) {
+    assert!(dt > 0.0 && dt <= base.rtt, "dt {dt} outside (0, rtt]");
+    assert!(sample_every >= 1);
+    let p = *base;
+    let steps = step_count(duration, dt);
+    let tau = p.rtt;
+    // Delay in step units; >= 1 because dt <= tau.
+    let lag = tau / dt;
+    let ring = lag.ceil() as usize + 1;
+
+    let init = Lanes {
+        w: [p.w_init; L],
+        a: [p.alpha_init; L],
+        q: [p.q_init; L],
+    };
+    // Full-state history ring: slot `step % ring` holds the state at
+    // `step`; pre-history reads resolve to the initial state.
+    let mut hist = vec![init; ring];
+    // The marking automaton consumes the *lagged* queue trajectory,
+    // which advances monotonically with t — one stateful pass per lane.
+    let mut marking = [MarkingState::new(p.marking, p.q_init); L];
+    let mut x = init;
+
+    for step in 0..=steps {
+        let t = step as f64 * dt;
+        // Lagged state at t − τ via linear interpolation between the
+        // two bracketing history slots (deterministic: pure f64
+        // arithmetic on stored samples).
+        let pos = step as f64 - lag;
+        let mut lagged = init;
+        if pos > 0.0 {
+            let j = pos.floor() as usize;
+            let frac = pos - j as f64;
+            let (s0, s1) = (&hist[j % ring], &hist[(j + 1) % ring]);
+            for i in 0..L {
+                lagged.w[i] = s0.w[i] + frac * (s1.w[i] - s0.w[i]);
+                lagged.a[i] = s0.a[i] + frac * (s1.a[i] - s0.a[i]);
+                lagged.q[i] = s0.q[i] + frac * (s1.q[i] - s0.q[i]);
+            }
+        }
+        let (mut sigma, mut rl) = ([0.0; L], [0.0; L]);
+        for i in 0..L {
+            sigma[i] = marking[i].step(lagged.q[i]);
+            rl[i] = p.rtt + lagged.q[i] / p.capacity_pps;
+        }
+
+        if step % sample_every == 0 {
+            for i in 0..L {
+                sink(i, t, x.w[i], x.a[i], x.q[i], sigma[i]);
+            }
+        }
+        if step == steps {
+            break;
+        }
+
+        // RK4 on the undelayed part of the state, with the lagged
+        // terms (piecewise-linear, and σ binary) held over the step.
+        let mut decrease = [0.0; L];
+        for i in 0..L {
+            decrease[i] = lagged.w[i] * lagged.a[i] / (2.0 * rl[i]) * sigma[i];
+        }
+        let f = |i: usize, w: f64, a: f64, q: f64| -> (f64, f64, f64) {
+            let r = p.rtt + q / p.capacity_pps;
+            let dw = 1.0 / r - decrease[i];
+            let da = p.g / rl[i] * (sigma[i] - a);
+            let mut dq = flows[i] * w / r - p.capacity_pps;
+            if q <= 0.0 {
+                dq = dq.max(0.0); // queue cannot drain below empty
+            }
+            (dw, da, dq)
+        };
+        // Each stage runs across all lanes before the next begins, so
+        // the lanes' divides are independent and in flight together.
+        let (mut k1, mut k2, mut k3, mut k4) = (init, init, init, init);
+        for i in 0..L {
+            (k1.w[i], k1.a[i], k1.q[i]) = f(i, x.w[i], x.a[i], x.q[i]);
+        }
+        for i in 0..L {
+            (k2.w[i], k2.a[i], k2.q[i]) = f(
+                i,
+                x.w[i] + 0.5 * dt * k1.w[i],
+                x.a[i] + 0.5 * dt * k1.a[i],
+                x.q[i] + 0.5 * dt * k1.q[i],
+            );
+        }
+        for i in 0..L {
+            (k3.w[i], k3.a[i], k3.q[i]) = f(
+                i,
+                x.w[i] + 0.5 * dt * k2.w[i],
+                x.a[i] + 0.5 * dt * k2.a[i],
+                x.q[i] + 0.5 * dt * k2.q[i],
+            );
+        }
+        for i in 0..L {
+            (k4.w[i], k4.a[i], k4.q[i]) = f(
+                i,
+                x.w[i] + dt * k3.w[i],
+                x.a[i] + dt * k3.a[i],
+                x.q[i] + dt * k3.q[i],
+            );
+        }
+        for i in 0..L {
+            let (mut w, mut alpha, mut q) = (x.w[i], x.a[i], x.q[i]);
+            w += dt / 6.0 * (k1.w[i] + 2.0 * k2.w[i] + 2.0 * k3.w[i] + k4.w[i]);
+            alpha += dt / 6.0 * (k1.a[i] + 2.0 * k2.a[i] + 2.0 * k3.a[i] + k4.a[i]);
+            q += dt / 6.0 * (k1.q[i] + 2.0 * k2.q[i] + 2.0 * k3.q[i] + k4.q[i]);
+            x.w[i] = w.max(0.0);
+            x.a[i] = alpha.clamp(0.0, 1.0);
+            x.q[i] = q.max(0.0);
+        }
+
+        hist[(step + 1) % ring] = x;
     }
 }
 
@@ -313,6 +392,27 @@ mod tests {
             (w_end - expected).abs() < 1e-3,
             "w_end {w_end} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn delayed_response_lasts_one_rtt() {
+        // Empty marking history (q_init below K): σ reads the queue one
+        // delay back, so σ — and with it the decrease term — stays 0 and
+        // α stays exactly α_init until the lagged queue crosses K; α
+        // moves on the very next step. Power-of-two rtt and dt make the
+        // delay exactly 128 steps, so lagged reads land on samples.
+        let mut params = relay(10.0);
+        params.rtt = 2f64.powi(-13);
+        params.w_init = 20.0; // arrivals above capacity: q builds at once
+        let (dt, delay) = (2f64.powi(-20), 128);
+        let sol = DdeModel::new(params).unwrap().run(3.0 * params.rtt, dt);
+        let (q, sigma, alpha) = (sol.q.values(), sol.p.values(), sol.alpha.values());
+        let first = q.iter().position(|&q| q > 40.0).expect("q crosses K");
+        let marked = first + delay; // the step whose lagged queue is q[first]
+        assert!(sigma[..marked].iter().all(|&s| s == 0.0));
+        assert_eq!(sigma[marked], 1.0);
+        assert!(alpha[..=marked].iter().all(|&a| a == params.alpha_init));
+        assert!(alpha[marked + 1] > params.alpha_init);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The fluid model of DCTCP (Section II-B of the paper) as a
-//! delay-differential system, with relay and hysteresis marking.
+//! The fluid model of DCTCP (Section II-B of the paper), as a
+//! frozen-RTT ODE and as a delay-differential system, with relay and
+//! hysteresis marking.
 //!
 //! Alizadeh et al.'s fluid model couples the per-flow window `W(t)`, the
 //! marked-fraction estimate `α(t)`, and the bottleneck queue `q(t)`
-//! through the marking decision delayed by one RTT. This crate
-//! integrates that system with fixed-step RK4 and a one-RTT history ring
-//! for the delayed input, supporting both DCTCP's relay `p = 1{q > K}`
+//! through the marking decision delayed by one RTT. [`FluidModel`]
+//! integrates that system with the RTT frozen at `R0` — an ODE whose
+//! only delayed term is the marking input — using fixed-step RK4 and a
+//! one-RTT history ring, supporting both DCTCP's relay `p = 1{q > K}`
 //! and DT-DCTCP's hysteresis.
 //!
 //! Use [`oscillation_metrics`] on a [`FluidSolution`] trajectory to

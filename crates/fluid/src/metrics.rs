@@ -24,8 +24,10 @@ pub fn oscillation_metrics(series: &TimeSeries) -> OscillationMetrics {
     let mean = s.mean;
     let amplitude = (s.max - s.min) / 2.0;
 
-    // Upward mean-crossings.
-    let mut crossings = Vec::new();
+    // Upward mean-crossings; the period is the mean span between
+    // consecutive ones, summed in crossing order.
+    let mut last_crossing: Option<f64> = None;
+    let (mut span_sum, mut spans) = (0.0, 0u64);
     let mut prev: Option<(f64, f64)> = None;
     for (t, v) in series.iter() {
         if let Some((pt, pv)) = prev {
@@ -36,17 +38,17 @@ pub fn oscillation_metrics(series: &TimeSeries) -> OscillationMetrics {
                 } else {
                     0.0
                 };
-                crossings.push(pt + frac * (t - pt));
+                let crossing = pt + frac * (t - pt);
+                if let Some(last) = last_crossing {
+                    span_sum += crossing - last;
+                    spans += 1;
+                }
+                last_crossing = Some(crossing);
             }
         }
         prev = Some((t, v));
     }
-    let period = if crossings.len() >= 2 {
-        let spans: Vec<f64> = crossings.windows(2).map(|w| w[1] - w[0]).collect();
-        Some(spans.iter().sum::<f64>() / spans.len() as f64)
-    } else {
-        None
-    };
+    let period = (spans > 0).then(|| span_sum / spans as f64);
 
     OscillationMetrics {
         mean,

@@ -1,4 +1,7 @@
-//! The delay-differential fluid model (Section II-B).
+//! The paper's fluid model (Section II-B) with the round-trip time
+//! frozen at `R0`: the ODE of Eqs. (1)–(3) in which only the marking
+//! input is delayed. [`DdeModel`](crate::DdeModel) is the full
+//! delay-differential system.
 
 use dctcp_core::ParamError;
 use dctcp_stats::TimeSeries;
@@ -84,7 +87,11 @@ pub struct FluidSolution {
     pub p: TimeSeries,
 }
 
-/// Fixed-step RK4 integrator for the delay-differential fluid model.
+/// Fixed-step RK4 integrator for the frozen-RTT fluid model: the ODE of
+/// Eqs. (1)–(3) with only the marking input `p` delayed (by one
+/// step-quantized `R0`). For the delay-differential system — queueing
+/// delay in the loop, whole lagged state — see
+/// [`DdeModel`](crate::DdeModel).
 ///
 /// The delayed input `p(t − R0)` is read from a history ring holding one
 /// RTT of marking decisions at step resolution; `p` is piecewise-constant
@@ -318,23 +325,23 @@ mod tests {
 
     #[test]
     fn delayed_response_lasts_one_rtt() {
-        // Queue starts above the threshold with marking off in history:
-        // the window must keep growing for exactly one RTT before the
-        // first marked feedback arrives.
+        // Empty marking history (q_init below K): α sits exactly at
+        // α_init until the first marking decision has travelled one
+        // delay, and moves on the very next step. Power-of-two rtt and
+        // dt make the delay exactly 128 steps.
         let mut params = relay(10.0);
-        params.q_init = 100.0; // above K = 40
-        params.w_init = 10.0;
-        params.alpha_init = 1.0; // any mark cuts hard
-        let mut m = FluidModel::new(params).unwrap();
-        let dt = params.rtt / 200.0;
-        let sol = m.run(3.0 * params.rtt, dt);
-        // W grows during the first RTT (delayed p still reflects t<0
-        // where... q_init > K makes p0 = 1, so instead check alpha rises
-        // only via that delayed input: p(0) = 1 means the response is
-        // immediate here; assert alpha moves toward 1 smoothly.
-        let a_start = sol.alpha.values()[0];
-        let (_, a_end) = sol.alpha.last().unwrap();
-        assert!(a_end >= a_start);
+        params.rtt = 2f64.powi(-13);
+        params.w_init = 20.0; // arrivals above capacity: q builds at once
+        let (dt, delay) = (2f64.powi(-20), 128);
+        let sol = FluidModel::new(params).unwrap().run(3.0 * params.rtt, dt);
+        let (q, p, alpha) = (sol.q.values(), sol.p.values(), sol.alpha.values());
+        // The first mark is decided on the step that lifts q above K.
+        let first = q.iter().position(|&q| q > 40.0).expect("q crosses K");
+        let marked = first - 1 + delay; // the first step that sees it
+        assert!(p[..marked].iter().all(|&p| p == 0.0));
+        assert_eq!(p[marked], 1.0);
+        assert!(alpha[..=marked].iter().all(|&a| a == params.alpha_init));
+        assert!(alpha[marked + 1] > params.alpha_init);
     }
 
     #[test]

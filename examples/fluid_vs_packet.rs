@@ -1,5 +1,5 @@
 //! Cross-validation of the three models in this repository: the
-//! delay-differential fluid model, the packet-level simulator, and the
+//! frozen-RTT fluid model, the packet-level simulator, and the
 //! describing-function prediction — all looking at the same question:
 //! does the double threshold damp the queue oscillation?
 //!

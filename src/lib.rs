@@ -7,7 +7,8 @@
 //!   double-threshold hysteresis) and the DCTCP congestion-window law.
 //! * [`sim`] — packet-level discrete-event network simulator.
 //! * [`tcp`] — TCP/DCTCP/DT-DCTCP transport state machines.
-//! * [`fluid`] — the delay-differential fluid model.
+//! * [`fluid`] — the fluid model: frozen-RTT ODE and delay-differential
+//!   system.
 //! * [`control`] — describing-function stability analysis.
 //! * [`stats`] — time-weighted statistics and metrics.
 //! * [`trace`] — typed event tracing and the replayable invariant
