@@ -4,7 +4,9 @@
 #
 # Tiers:
 #   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
-#                 model tests (the PR gate: minutes, catches most
+#                 model tests + benchmark compile check (the frozen
+#                 benchmark must still build against the workspace's
+#                 public API) (the PR gate: minutes, catches most
 #                 breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + rustdoc +
@@ -52,6 +54,12 @@ echo "==> cargo test (fluid model unit + property tests)"
 # full test suite (equilibrium fixed points, step-response determinism,
 # damping ordering) is cheap enough for the PR gate.
 cargo test --offline -q -p dctcp-fluid
+
+echo "==> cargo check (benchmark against the workspace API)"
+# The benchmark is a separate package pinned to the public API it
+# measures through; an API break fails here instead of at full's
+# benchmark/check.sh.
+cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
 
 if [ "$TIER" = "quick" ]; then
     echo "CI quick gate passed."

@@ -207,17 +207,6 @@ impl Artifact {
         out
     }
 
-    /// Marking labels present, in first-appearance order.
-    pub fn markings(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for p in &self.points {
-            if !out.contains(&p.marking.as_str()) {
-                out.push(&p.marking);
-            }
-        }
-        out
-    }
-
     /// Sorted distinct flow counts recorded for a marking.
     pub fn flow_counts(&self, marking: &str) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
@@ -405,11 +394,6 @@ mod tests {
         assert_eq!(a.metric("dctcp", 2, "queue_mean"), Some(2.0));
         assert_eq!(a.metric("dctcp", 9, "queue_mean"), None);
         assert_eq!(a.flow_counts("dctcp"), vec![2]);
-    }
-
-    #[test]
-    fn markings_in_first_appearance_order() {
-        assert_eq!(sample().markings(), vec!["dctcp", "dt-dctcp"]);
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn run() -> Result<Outcome, String> {
             spec.kind.name(),
             spec.markings.len(),
             spec.run.flows.len(),
-            if spec.kind.is_query() {
+            if spec.kind.sweeps_seeds() {
                 spec.run.seeds.len()
             } else {
                 1

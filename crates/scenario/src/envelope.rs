@@ -13,9 +13,9 @@
 //!   (e.g. single-K oscillation amplitude grows with N, Fig. 5–8).
 
 use crate::artifact::Artifact;
-use crate::parse::{parse_f64, parse_list_u32, parse_u32, Document};
-use crate::spec::ScenarioKind;
+use crate::parse::{parse_f64, parse_uint, parse_uint_list, Document, RawEntry};
 use crate::ScenarioError;
+use crate::ScenarioKind;
 
 /// The check a single `[expect]` section performs.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,13 +119,6 @@ pub fn parse_expectations(
             line: s.line,
             msg: "expect sections need a label: [expect \"low-variance\"]".into(),
         })?;
-        if out.iter().any(|e| e.label == label) {
-            return Err(ScenarioError::DuplicateSection {
-                line: s.line,
-                section: s.display_name(),
-            });
-        }
-
         let metric_entry = s.require("metric")?;
         let metric = metric_entry.value.clone();
         if !kind.metrics().contains(&metric.as_str()) {
@@ -139,27 +132,37 @@ pub fn parse_expectations(
                 ),
             });
         }
-        let known_marking = |value: &str, line: usize| -> Result<String, ScenarioError> {
-            if markings.iter().any(|(l, _)| l == value) {
-                Ok(value.to_string())
+        let known_marking = |e: &RawEntry| -> Result<String, ScenarioError> {
+            if markings.iter().any(|(l, _)| *l == e.value) {
+                Ok(e.value.clone())
             } else {
                 Err(ScenarioError::BadValue {
-                    line,
+                    line: e.line,
                     key: "marking".into(),
-                    msg: format!("no [marking \"{value}\"] section in this scenario"),
+                    msg: format!("no [marking \"{}\"] section in this scenario", e.value),
                 })
             }
+        };
+        // `lesser` and `greater`: two different markings.
+        let distinct_pair = || -> Result<(String, String), ScenarioError> {
+            let (lesser_e, greater_e) = (s.require("lesser")?, s.require("greater")?);
+            let (lesser, greater) = (known_marking(lesser_e)?, known_marking(greater_e)?);
+            if lesser == greater {
+                return Err(ScenarioError::BadValue {
+                    line: greater_e.line,
+                    key: "greater".into(),
+                    msg: "lesser and greater must differ".into(),
+                });
+            }
+            Ok((lesser, greater))
         };
 
         let check_entry = s.require("check")?;
         let check = match check_entry.value.as_str() {
             "metric_range" => {
                 s.reject_unknown_keys(&["check", "metric", "marking", "flows", "min", "max"])?;
-                let marking = match s.get("marking") {
-                    Some(e) => Some(known_marking(&e.value, e.line)?),
-                    None => None,
-                };
-                let flows = s.get("flows").map(parse_list_u32).transpose()?;
+                let marking = s.get("marking").map(known_marking).transpose()?;
+                let flows = s.get("flows").map(parse_uint_list).transpose()?;
                 let min = s.get("min").map(parse_f64).transpose()?;
                 let max = s.get("max").map(parse_f64).transpose()?;
                 if min.is_none() && max.is_none() {
@@ -188,18 +191,12 @@ pub fn parse_expectations(
             }
             "ordered" => {
                 s.reject_unknown_keys(&["check", "metric", "lesser", "greater", "from_flows"])?;
-                let lesser_e = s.require("lesser")?;
-                let greater_e = s.require("greater")?;
-                let lesser = known_marking(&lesser_e.value, lesser_e.line)?;
-                let greater = known_marking(&greater_e.value, greater_e.line)?;
-                if lesser == greater {
-                    return Err(ScenarioError::BadValue {
-                        line: greater_e.line,
-                        key: "greater".into(),
-                        msg: "lesser and greater must differ".into(),
-                    });
-                }
-                let from_flows = s.get("from_flows").map(parse_u32).transpose()?.unwrap_or(0);
+                let (lesser, greater) = distinct_pair()?;
+                let from_flows = s
+                    .get("from_flows")
+                    .map(parse_uint)
+                    .transpose()?
+                    .unwrap_or(0);
                 ExpectCheck::Ordered {
                     metric,
                     lesser,
@@ -209,8 +206,7 @@ pub fn parse_expectations(
             }
             "monotone_increasing" => {
                 s.reject_unknown_keys(&["check", "metric", "marking", "min_ratio"])?;
-                let marking_e = s.require("marking")?;
-                let marking = known_marking(&marking_e.value, marking_e.line)?;
+                let marking = known_marking(s.require("marking")?)?;
                 let min_ratio = s
                     .get("min_ratio")
                     .map(parse_f64)
@@ -239,18 +235,8 @@ pub fn parse_expectations(
                     "max_ratio",
                     "min_ratio",
                 ])?;
-                let lesser_e = s.require("lesser")?;
-                let greater_e = s.require("greater")?;
-                let lesser = known_marking(&lesser_e.value, lesser_e.line)?;
-                let greater = known_marking(&greater_e.value, greater_e.line)?;
-                if lesser == greater {
-                    return Err(ScenarioError::BadValue {
-                        line: greater_e.line,
-                        key: "greater".into(),
-                        msg: "lesser and greater must differ".into(),
-                    });
-                }
-                let flows = s.get("flows").map(parse_list_u32).transpose()?;
+                let (lesser, greater) = distinct_pair()?;
+                let flows = s.get("flows").map(parse_uint_list).transpose()?;
                 let max_e = s.require("max_ratio")?;
                 let max_ratio = parse_f64(max_e)?;
                 if !(max_ratio.is_finite() && max_ratio > 0.0) {

@@ -1,4 +1,4 @@
-//! Typed errors for scenario parsing, validation and execution.
+//! Typed errors for scenario parsing, validation and loading.
 //!
 //! Every parse-time variant carries the 1-based source line it was
 //! detected on, so a bad scenario file reads like a compiler
@@ -80,13 +80,6 @@ pub enum ScenarioError {
         /// The violated constraint.
         msg: String,
     },
-    /// A simulation failed while running the scenario.
-    Run {
-        /// The scenario that failed.
-        scenario: String,
-        /// The underlying simulator error, rendered.
-        msg: String,
-    },
     /// File I/O failed.
     Io {
         /// The path involved.
@@ -130,9 +123,6 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::OutOfRange { line, key, msg } => {
                 write!(f, "line {line}: `{key}` out of range: {msg}")
-            }
-            ScenarioError::Run { scenario, msg } => {
-                write!(f, "scenario `{scenario}` failed to run: {msg}")
             }
             ScenarioError::Io { path, msg } => write!(f, "{path}: {msg}"),
             ScenarioError::BadArtifact { path, msg } => {

@@ -10,8 +10,10 @@
 //!
 //! This module parses the *shape* (sections, keys, raw values, line
 //! numbers) plus the unit-suffixed value grammar (`30 ms`, `10 Gbps`,
-//! `40 pkts`, `64 KB`, lists). The (private) `spec` module turns the
-//! shape into a typed [`crate::ScenarioSpec`].
+//! `40 pkts`, `64 KB`, lists). The (private) `spec` and `kinds` modules
+//! turn the shape into a typed [`crate::ScenarioSpec`].
+
+use std::str::FromStr;
 
 use dctcp_core::QueueLevel;
 use dctcp_sim::{Capacity, SimDuration};
@@ -88,6 +90,20 @@ impl RawSection {
                     key: e.key.clone(),
                 });
             }
+        }
+        Ok(())
+    }
+
+    /// Overwrites `field` with the parsed value of `key` when the key is
+    /// present, leaving the default in place otherwise.
+    pub(crate) fn set<T>(
+        &self,
+        key: &str,
+        field: &mut T,
+        parse: impl Fn(&RawEntry) -> Result<T, ScenarioError>,
+    ) -> Result<(), ScenarioError> {
+        if let Some(e) = self.get(key) {
+            *field = parse(e)?;
         }
         Ok(())
     }
@@ -291,6 +307,19 @@ pub fn parse_duration(entry: &RawEntry) -> Result<SimDuration, ScenarioError> {
     Ok(SimDuration::from_secs_f64(v * scale))
 }
 
+/// [`parse_duration`] for keys that must not be zero.
+pub(crate) fn parse_positive_duration(entry: &RawEntry) -> Result<SimDuration, ScenarioError> {
+    let d = parse_duration(entry)?;
+    if d == SimDuration::ZERO {
+        return Err(ScenarioError::OutOfRange {
+            line: entry.line,
+            key: entry.key.clone(),
+            msg: "must be positive".into(),
+        });
+    }
+    Ok(d)
+}
+
 /// Parses a link rate: `10 Gbps`, `800 Mbps`, `1000000 bps`.
 ///
 /// # Errors
@@ -392,56 +421,38 @@ pub fn parse_f64(entry: &RawEntry) -> Result<f64, ScenarioError> {
         .map_err(|_| bad(entry, format!("`{}` is not a number", entry.value)))
 }
 
-/// Parses a bare unsigned integer.
+/// Parses a bare unsigned integer (`u32`, `u64`, …).
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError::BadValue`] for malformed numbers.
-pub fn parse_u64(entry: &RawEntry) -> Result<u64, ScenarioError> {
+pub fn parse_uint<T: FromStr>(entry: &RawEntry) -> Result<T, ScenarioError> {
     entry
         .value
         .parse()
         .map_err(|_| bad(entry, format!("`{}` is not a whole number", entry.value)))
 }
 
-/// Parses a bare `u32`.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::BadValue`] for malformed numbers.
-pub fn parse_u32(entry: &RawEntry) -> Result<u32, ScenarioError> {
-    entry
-        .value
-        .parse()
-        .map_err(|_| bad(entry, format!("`{}` is not a whole number", entry.value)))
-}
-
-/// Parses a comma-separated list of `u32` (`2, 8, 32`).
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::BadValue`] for malformed or empty lists.
-pub fn parse_list_u32(entry: &RawEntry) -> Result<Vec<u32>, ScenarioError> {
-    let mut out = Vec::new();
-    for part in entry.value.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(bad(entry, "empty element in list"));
-        }
-        out.push(
-            part.parse()
-                .map_err(|_| bad(entry, format!("`{part}` is not a whole number")))?,
-        );
+/// [`parse_uint`] for counts that must not be zero.
+pub(crate) fn parse_positive_uint(entry: &RawEntry) -> Result<u32, ScenarioError> {
+    let n = parse_uint(entry)?;
+    if n == 0 {
+        return Err(ScenarioError::OutOfRange {
+            line: entry.line,
+            key: entry.key.clone(),
+            msg: "must be positive".into(),
+        });
     }
-    Ok(out)
+    Ok(n)
 }
 
-/// Parses a comma-separated list of `u64`.
+/// Parses a comma-separated list of unsigned integers (`2, 8, 32`).
+/// An empty value is one empty element, so it is rejected too.
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError::BadValue`] for malformed or empty lists.
-pub fn parse_list_u64(entry: &RawEntry) -> Result<Vec<u64>, ScenarioError> {
+/// Returns [`ScenarioError::BadValue`] for malformed or empty elements.
+pub fn parse_uint_list<T: FromStr>(entry: &RawEntry) -> Result<Vec<T>, ScenarioError> {
     let mut out = Vec::new();
     for part in entry.value.split(',') {
         let part = part.trim();
@@ -612,10 +623,10 @@ mod tests {
     #[test]
     fn lists_and_windows_parse() {
         assert_eq!(
-            parse_list_u32(&entry("flows", "2, 8, 32")).unwrap(),
+            parse_uint_list::<u32>(&entry("flows", "2, 8, 32")).unwrap(),
             vec![2, 8, 32]
         );
-        assert!(parse_list_u32(&entry("flows", "2,,3")).is_err());
+        assert!(parse_uint_list::<u32>(&entry("flows", "2,,3")).is_err());
         let (a, b) = parse_window(&entry("bleach", "20 ms .. 30 ms")).unwrap();
         assert_eq!(a, SimDuration::from_millis(20));
         assert_eq!(b, SimDuration::from_millis(30));

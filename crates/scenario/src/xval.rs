@@ -22,9 +22,10 @@
 //! where only it can (the `N = 10⁴ … 10⁶` scale-out sweeps).
 
 use crate::artifact::Artifact;
-use crate::parse::{parse_f64, parse_list_u32, Document};
-use crate::spec::{RunSpec, ScenarioKind};
+use crate::parse::{parse_f64, parse_uint_list, Document};
+use crate::spec::RunSpec;
 use crate::ScenarioError;
+use crate::ScenarioKind;
 
 /// One `[xval "label"]` section: a relative-error band between a fluid
 /// metric and a packet anchor's metric at shared flow counts.
@@ -116,12 +117,6 @@ pub fn parse_xvals(
             line: s.line,
             msg: "xval sections need a label: [xval \"amplitude-vs-fig05\"]".into(),
         })?;
-        if out.iter().any(|x| x.label == label) {
-            return Err(ScenarioError::DuplicateSection {
-                line: s.line,
-                section: s.display_name(),
-            });
-        }
         s.reject_unknown_keys(&[
             "packet",
             "metric",
@@ -176,14 +171,7 @@ pub fn parse_xvals(
             .map_or_else(|| marking.clone(), |e| e.value.clone());
 
         let flows_entry = s.require("flows")?;
-        let flows = parse_list_u32(flows_entry)?;
-        if flows.is_empty() {
-            return Err(ScenarioError::BadValue {
-                line: flows_entry.line,
-                key: "flows".into(),
-                msg: "at least one flow count required".into(),
-            });
-        }
+        let flows: Vec<u32> = parse_uint_list(flows_entry)?;
         for &n in &flows {
             if !run.flows.contains(&n) {
                 return Err(ScenarioError::BadValue {
