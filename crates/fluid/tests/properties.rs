@@ -1,5 +1,5 @@
 //! Seeded randomized tests of the fluid integrators (ODE and DDE), and
-//! the bit-identity pin of the DDE sweep.
+//! the bit-identity pins of the DDE sweep and the ODE trajectories.
 
 use dctcp_fluid::sweep::{evaluate, sweep};
 use dctcp_fluid::{
@@ -302,19 +302,78 @@ fn sweep_is_bit_identical_per_point() {
     }
 }
 
+/// FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds the little-endian bytes of `words` into the FNV-1a hash `h`.
+fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for b in words.into_iter().flat_map(u64::to_le_bytes) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// The sweep reproduces the parent commit's bits on the pin grid.
 #[test]
 fn sweep_matches_pinned_digest() {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_BASIS;
     for (base, cfg) in pin_configs() {
         for p in sweep(&base, &PIN_FLOWS, &cfg).unwrap() {
-            for b in bits(&p).iter().flat_map(|v| v.to_le_bytes()) {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h = fnv1a(h, bits(&p));
         }
     }
     assert_eq!(h, PIN_DIGEST, "digest {h:#018x}");
+}
+
+/// FNV-1a over the bits of every `(t, value)` sample of `w`, `α`, `q`
+/// and `p` that `FluidModel::run_sampled` records on [`ode_pin_runs`],
+/// captured while the frozen-RTT model still had its own RK4 loop. Any
+/// change to the ODE arithmetic or its marking delay moves it.
+const ODE_PIN_DIGEST: u64 = 0xac60_dcfc_3b28_2386;
+
+/// Relay `K = 40` and hysteresis 30/50 × `dt` 1 µs, 1.3 µs (which does
+/// not divide the 100 µs RTT) and `= rtt` (the shortest marking delay)
+/// × an empty start, `q₀ = 100` with `α₀ = 1`, and `q₀` exactly at K1
+/// and at K2 × `N` 10 and 100 × `sample_every` 1 and 7, over 5 ms.
+fn ode_pin_runs() -> Vec<(FluidParams, f64, usize)> {
+    let mut out = Vec::new();
+    for marking in [
+        FluidMarking::Relay { k: 40.0 },
+        FluidMarking::Hysteresis { k1: 30.0, k2: 50.0 },
+    ] {
+        for (q_init, alpha_init) in [(0.0, 0.0), (100.0, 1.0), (30.0, 0.0), (50.0, 0.0)] {
+            for n in [10.0, 100.0] {
+                let mut p = FluidParams::paper_defaults(n, marking);
+                p.q_init = q_init;
+                p.alpha_init = alpha_init;
+                for dt in [1e-6, 1.3e-6, p.rtt] {
+                    for sample_every in [1, 7] {
+                        out.push((p, dt, sample_every));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The frozen-RTT model reproduces its pinned trajectories bit for bit.
+#[test]
+fn ode_matches_pinned_digest() {
+    let mut h = FNV_BASIS;
+    for (p, dt, sample_every) in ode_pin_runs() {
+        let sol = FluidModel::new(p)
+            .unwrap()
+            .run_sampled(0.005, dt, sample_every);
+        for series in [&sol.w, &sol.alpha, &sol.q, &sol.p] {
+            h = fnv1a(
+                h,
+                series.iter().flat_map(|(t, v)| [t.to_bits(), v.to_bits()]),
+            );
+        }
+    }
+    assert_eq!(h, ODE_PIN_DIGEST, "digest {h:#018x}");
 }
 
 /// A step longer than the feedback delay is a typed error, not a panic,
