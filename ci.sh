@@ -6,13 +6,13 @@
 #   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
 #                 model tests + benchmark compile check (the frozen
 #                 benchmark must still build against the workspace's
-#                 public API) (the PR gate: minutes, catches most
-#                 breakage)
+#                 public API) + rustdoc with warnings denied (the PR
+#                 gate: minutes, catches most breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
-#                 workspace-only) + workspace tests + rustdoc +
-#                 trace-oracle smoke + scenario-matrix gate (run
-#                 cold, then warm from the result cache with
-#                 byte-identity asserted between the two) + benchmark
+#                 workspace-only) + workspace tests + trace-oracle
+#                 smoke + scenario-matrix gate (run cold, then warm
+#                 from the result cache with byte-identity asserted
+#                 between the two) + benchmark
 #                 lint and smoke (benchmark/check.sh, then
 #                 benchmark/run.sh --quick) + fluid-xval
 #                 gate (DDE model vs packet anchors within committed
@@ -61,6 +61,11 @@ echo "==> cargo check (benchmark against the workspace API)"
 # benchmark/check.sh.
 cargo check --offline --locked --manifest-path benchmark/Cargo.toml --all-targets
 
+echo "==> cargo doc --no-deps (warnings denied)"
+# A few seconds; a broken intra-doc link (e.g. public docs naming a
+# private item) fails here rather than stopping the full tier.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 if [ "$TIER" = "quick" ]; then
     echo "CI quick gate passed."
     exit 0
@@ -86,9 +91,6 @@ fi
 
 echo "==> cargo test (workspace)"
 cargo test --offline --workspace -q
-
-echo "==> cargo doc --no-deps"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> trace-oracle smoke (traced run through the invariant oracle)"
 cargo run --offline --release --example trace_dump -- --oracle

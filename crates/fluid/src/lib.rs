@@ -1,28 +1,26 @@
 //! The fluid model of DCTCP (Section II-B of the paper), as a
 //! frozen-RTT ODE and as a delay-differential system, with relay and
-//! hysteresis marking.
+//! hysteresis marking: two models of one fixed-step RK4 kernel.
 //!
 //! Alizadeh et al.'s fluid model couples the per-flow window `W(t)`, the
 //! marked-fraction estimate `α(t)`, and the bottleneck queue `q(t)`
-//! through the marking decision delayed by one RTT. [`FluidModel`]
-//! integrates that system with the RTT frozen at `R0` — an ODE whose
-//! only delayed term is the marking input — using fixed-step RK4 and a
-//! one-RTT history ring, supporting both DCTCP's relay `p = 1{q > K}`
-//! and DT-DCTCP's hysteresis.
-//!
-//! Use [`oscillation_metrics`] on a [`FluidSolution`] trajectory to
-//! measure limit-cycle amplitude and period — the quantities the
-//! describing-function analysis in `dctcp-control` predicts.
+//! through the marking decision delayed by one RTT, under DCTCP's relay
+//! `p = 1{q > K}` or DT-DCTCP's hysteresis. [`FluidModel`] freezes the
+//! RTT at `R0`: an ODE whose only delayed term is the marking input,
+//! read a whole number of steps back (`R0 − dt` when `dt` divides `R0`).
 //!
 //! [`DdeModel`] extends the system to a full delay-differential form:
 //! the queue-induced round-trip `R(t) = R0 + q(t)/C` enters the rate
 //! terms, and the multiplicative decrease is driven by the *lagged*
-//! window and marked fraction `W(t−τ)·α(t−τ)`, read from a full-state
-//! history ring with deterministic linear interpolation. That is what
-//! makes the model trustworthy far beyond the packet engine's flow
-//! counts — see [`sweep`](crate::sweep::sweep) for the `N = 10¹ … 10⁶`
-//! driver and [`equilibrium`] for the closed-form fixed points it is
-//! validated against.
+//! window and marked fraction `W(t−τ)·α(t−τ)`, interpolated at
+//! `τ = R0`. That is what makes the model trustworthy far beyond the
+//! packet engine's flow counts — see [`sweep`](crate::sweep::sweep) for
+//! the `N = 10¹ … 10⁶` driver and [`equilibrium`] for the closed-form
+//! fixed points it is validated against.
+//!
+//! Use [`oscillation_metrics`] on a [`FluidSolution`] trajectory to
+//! measure limit-cycle amplitude and period — the quantities the
+//! describing-function analysis in `dctcp-control` predicts.
 //!
 //! # Examples
 //!
@@ -41,6 +39,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod dde;
+mod kernel;
 mod marking;
 mod metrics;
 mod model;

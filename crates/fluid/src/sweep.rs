@@ -12,7 +12,7 @@
 use dctcp_core::ParamError;
 use dctcp_stats::{TimeSeries, Welford};
 
-use crate::dde::integrate;
+use crate::kernel::{integrate, Model};
 use crate::metrics::oscillation_metrics;
 use crate::model::FluidParams;
 
@@ -90,14 +90,19 @@ pub struct SweepPoint {
 /// for twice the per-pass state and up to seven padded lanes a sweep.
 const LANES: usize = 4;
 
+/// Most integrator steps the feedback delay may span: the kernel's
+/// history ring holds one state per step, 24 B a lane (≈ 24 MB at 2²⁰).
+const MAX_DELAY_STEPS: f64 = 1_048_576.0;
+
 /// Validates one operating point: `cfg`, then `params`, then that the
-/// step fits inside the feedback delay (the pair neither check sees).
+/// feedback delay spans 1 to [`MAX_DELAY_STEPS`] steps (the pair
+/// neither check sees).
 fn validate(params: &FluidParams, cfg: &FluidRunConfig) -> Result<(), ParamError> {
     cfg.validate()?;
     params.validate()?;
-    if cfg.dt > params.rtt {
+    if !(cfg.dt <= params.rtt && params.rtt / cfg.dt <= MAX_DELAY_STEPS) {
         return Err(ParamError::new(format!(
-            "dt {} exceeds the feedback delay rtt {}",
+            "dt {} must lie in [rtt / 2^20, rtt] for the feedback delay rtt {}",
             cfg.dt, params.rtt
         )));
     }
@@ -194,6 +199,7 @@ fn run_lanes<const L: usize>(
     let mut reducers = flows.map(|n| Reducer::new(FluidParams { flows: n, ..*base }, cfg));
     integrate(
         base,
+        Model::Dde,
         flows,
         cfg.duration,
         cfg.dt,
@@ -209,7 +215,7 @@ fn run_lanes<const L: usize>(
 /// # Errors
 ///
 /// Returns [`ParamError`] if `params` or `cfg` fail validation, or if
-/// `cfg.dt` exceeds `params.rtt`.
+/// `cfg.dt` is outside `[params.rtt / 2²⁰, params.rtt]`.
 pub fn evaluate(params: &FluidParams, cfg: &FluidRunConfig) -> Result<SweepPoint, ParamError> {
     validate(params, cfg)?;
     let [point] = run_lanes(params, [params.flows], cfg);
@@ -217,7 +223,7 @@ pub fn evaluate(params: &FluidParams, cfg: &FluidRunConfig) -> Result<SweepPoint
 }
 
 /// Evaluates `base` at each flow count in `flow_counts`, bit-identical
-/// to calling [`evaluate`] per point but [`LANES`] points per pass.
+/// to calling [`evaluate`] per point but several points per pass.
 ///
 /// # Errors
 ///

@@ -4,10 +4,9 @@
 use dctcp_fluid::sweep::{evaluate, sweep};
 use dctcp_fluid::{
     equilibrium, oscillation_metrics, DdeModel, FluidMarking, FluidModel, FluidParams,
-    FluidRunConfig, SweepPoint,
+    FluidRunConfig, FluidSolution, SweepPoint,
 };
 use dctcp_rng::Pcg32;
-use dctcp_stats::TimeSeries;
 
 fn params(n: f64, rtt: f64, marking: FluidMarking) -> FluidParams {
     let mut p = FluidParams::paper_defaults(n, marking);
@@ -15,8 +14,21 @@ fn params(n: f64, rtt: f64, marking: FluidMarking) -> FluidParams {
     p
 }
 
+/// A fluid model's `run_sampled(duration, dt, sample_every)`.
+type Run = fn(FluidParams, f64, f64, usize) -> FluidSolution;
+
+/// Both fluid models, through their public constructors.
+const MODELS: [(&str, Run); 2] = [
+    ("ode", |p, d, dt, n| {
+        FluidModel::new(p).unwrap().run_sampled(d, dt, n)
+    }),
+    ("dde", |p, d, dt, n| {
+        DdeModel::new(p).unwrap().run_sampled(d, dt, n)
+    }),
+];
+
 /// State stays physical (non-negative queue and window, α in [0,1])
-/// for arbitrary parameters in the controllable regime.
+/// for arbitrary parameters in the controllable regime, in both models.
 #[test]
 fn state_stays_physical() {
     let mut rng = Pcg32::seed_from_u64(0xF1_0001);
@@ -25,45 +37,51 @@ fn state_stays_physical() {
         let rtt_us = rng.range_f64(100.0, 1000.0);
         let k = rng.range_f64(5.0, 100.0);
         let p = params(n, rtt_us * 1e-6, FluidMarking::Relay { k });
-        let mut m = FluidModel::new(p).unwrap();
-        let sol = m.run_sampled(0.02, 1e-6, 20);
-        for (_, q) in sol.q.iter() {
-            assert!(q >= 0.0);
-        }
-        for (_, a) in sol.alpha.iter() {
-            assert!((0.0..=1.0).contains(&a));
-        }
-        for (_, w) in sol.w.iter() {
-            assert!(w >= 0.0);
+        for (name, run) in MODELS {
+            let sol = run(p, 0.02, 1e-6, 20);
+            assert!(sol.q.values().iter().all(|&q| q >= 0.0), "{name}");
+            assert!(
+                sol.alpha.values().iter().all(|a| (0.0..=1.0).contains(a)),
+                "{name}"
+            );
+            assert!(sol.w.values().iter().all(|&w| w >= 0.0), "{name}");
         }
     }
 }
 
-/// Halving the integration step changes the trajectory only
-/// marginally (RK4 convergence on the smooth segments).
+/// The same step size reproduces the trajectory bit-for-bit, and
+/// halving it moves the mean queue only marginally (RK4 convergence on
+/// the smooth segments) — in both models, across randomized step sizes
+/// that do *not* divide the delay (exercising the history ring).
 #[test]
 fn step_refinement_converges() {
-    let mut rng = Pcg32::seed_from_u64(0xF1_0002);
-    for _ in 0..32 {
+    let mut rng = Pcg32::seed_from_u64(0xD1_0002);
+    for _ in 0..8 {
         let n = rng.range_f64(5.0, 40.0);
-        let make = || FluidModel::new(params(n, 300e-6, FluidMarking::Relay { k: 40.0 })).unwrap();
-        let coarse = make().run_sampled(0.01, 2e-6, 5); // sample every 10 us
-        let fine = make().run_sampled(0.01, 1e-6, 10); // same sampling instants
-        assert_eq!(coarse.q.len(), fine.q.len());
-        // Compare the *time-average* queue rather than pointwise values:
-        // the marking relay makes trajectories chaotic in phase, but the
-        // mean must be step-robust.
-        let mean = |ts: &TimeSeries| ts.summary().mean;
-        let (a, b) = (mean(&coarse.q), mean(&fine.q));
-        assert!(
-            (a - b).abs() <= 0.25 * b.abs().max(5.0),
-            "means diverge under refinement: {a} vs {b}"
-        );
+        let dt = rng.range_f64(0.7, 2.9) * 1e-6;
+        let p = params(n, 300e-6, FluidMarking::Relay { k: 40.0 });
+        for (name, run) in MODELS {
+            let (a, b) = (run(p, 0.1, dt, 50), run(p, 0.1, dt, 50));
+            assert_eq!(a.q.values(), b.q.values(), "{name}: same dt, other bits");
+            assert_eq!(a.w.values(), b.w.values(), "{name}: same dt, other bits");
+            // Compare the *time-average* queue rather than pointwise
+            // values: the marking relay makes trajectories chaotic in
+            // phase, but the mean must be step-robust.
+            let (am, fm) = (
+                a.q.summary().mean,
+                run(p, 0.1, dt / 2.0, 50).q.summary().mean,
+            );
+            assert!(
+                (am - fm).abs() <= 0.25 * fm.abs().max(5.0),
+                "{name}, N = {n}, dt = {dt}: mean queue diverges under refinement: {am} vs {fm}"
+            );
+        }
     }
 }
 
 /// With marking disabled (unreachable threshold) the window grows
-/// exactly linearly at 1/R0 per second.
+/// exactly linearly at 1/R0 per second: in the frozen-RTT model at any
+/// queue, and in the DDE while the queue stays empty so `R(t) = R0`.
 #[test]
 fn additive_increase_is_exact_without_marking() {
     let mut rng = Pcg32::seed_from_u64(0xF1_0003);
@@ -72,12 +90,22 @@ fn additive_increase_is_exact_without_marking() {
         let rtt_us = rng.range_f64(50.0, 500.0);
         let rtt = rtt_us * 1e-6;
         let p = params(n, rtt, FluidMarking::Relay { k: 1e15 });
-        let mut m = FluidModel::new(p).unwrap();
         let dur = 20.0 * rtt;
-        let sol = m.run(dur, rtt / 64.0);
-        let (_, w_end) = sol.w.last().unwrap();
         let expected = p.w_init + dur / rtt;
-        assert!((w_end - expected).abs() < 1e-2, "{w_end} vs {expected}");
+        // The DDE row's capacity, above the peak arrival rate N·W/R0,
+        // keeps q at 0.
+        let empty = FluidParams {
+            capacity_pps: 2.0 * n * expected / rtt,
+            ..p
+        };
+        for ((name, run), p) in MODELS.into_iter().zip([p, empty]) {
+            let sol = run(p, dur, rtt / 64.0, 1);
+            let (_, w_end) = sol.w.last().unwrap();
+            assert!(
+                (w_end - expected).abs() < 1e-2,
+                "{name}: {w_end} vs {expected}"
+            );
+        }
     }
 }
 
@@ -100,30 +128,6 @@ fn dde_duty_matches_equilibrium_closed_form() {
             (duty - eq.marking_duty).abs() / eq.marking_duty < 0.25,
             "N = {n}, K = {k}: duty {duty} vs closed form {}",
             eq.marking_duty
-        );
-    }
-}
-
-/// DDE step-response determinism: the same step size reproduces the
-/// trajectory bit-for-bit, and refining the step moves the mean queue
-/// only marginally — across randomized step sizes that do *not* divide
-/// the delay (exercising the history interpolation).
-#[test]
-fn dde_is_deterministic_across_step_sizes() {
-    let mut rng = Pcg32::seed_from_u64(0xD1_0002);
-    for _ in 0..8 {
-        let n = rng.range_f64(5.0, 40.0);
-        let dt = rng.range_f64(0.7, 2.9) * 1e-6;
-        let p = params(n, 300e-6, FluidMarking::Relay { k: 40.0 });
-        let run = |dt: f64| DdeModel::new(p).unwrap().run_sampled(0.1, dt, 50);
-        let (a, b) = (run(dt), run(dt));
-        assert_eq!(a.q.values(), b.q.values(), "same dt must be bit-identical");
-        assert_eq!(a.w.values(), b.w.values());
-        let fine = run(dt / 2.0);
-        let (am, fm) = (a.q.summary().mean, fine.q.summary().mean);
-        assert!(
-            (am - fm).abs() <= 0.25 * fm.abs().max(5.0),
-            "N = {n}, dt = {dt}: mean queue diverges under refinement: {am} vs {fm}"
         );
     }
 }
@@ -376,8 +380,10 @@ fn ode_matches_pinned_digest() {
     assert_eq!(h, ODE_PIN_DIGEST, "digest {h:#018x}");
 }
 
-/// A step longer than the feedback delay is a typed error, not a panic,
-/// and `sweep` reports the first offending point in flow order.
+/// A step longer than the feedback delay, or so short that the delay
+/// spans more than 2²⁰ steps, is a typed error, not a panic or an
+/// unbounded allocation, and `sweep` reports the first offending point
+/// in flow order.
 #[test]
 fn step_beyond_delay_is_an_error() {
     let cfg = FluidRunConfig {
@@ -393,9 +399,16 @@ fn step_beyond_delay_is_an_error() {
     assert!(sweep(&p, &[10.0, 20.0], &cfg).is_err());
     assert_eq!(sweep(&p, &[], &cfg).unwrap(), Vec::new());
 
+    // A delay of more than 2²⁰ steps is refused before the kernel
+    // allocates its one-state-per-step history ring.
+    let ok = FluidRunConfig { dt: 1e-6, ..cfg };
+    let long = FluidParams { rtt: 10.0, ..p };
+    let err = evaluate(&long, &ok).unwrap_err();
+    assert!(err.to_string().contains("2^20"), "{err}");
+    assert!(sweep(&long, &[10.0, 20.0], &ok).is_err());
+
     // Point 6 (second chunk) has an invalid flow count, point 2 a valid
     // one: the error is the flow count's, and comes before integration.
-    let ok = FluidRunConfig { dt: 1e-6, ..cfg };
     let flows = [10.0, 20.0, 30.0, 40.0, 50.0, -1.0];
     let err = sweep(&p, &flows, &ok).unwrap_err();
     assert!(err.to_string().contains("flows"), "{err}");

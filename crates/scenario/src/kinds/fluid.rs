@@ -31,11 +31,16 @@ pub(super) const METRICS: &[&str] = &[
     "utilization",
 ];
 
+/// Most integrator steps one rtt may span: the bound (2²⁰) that
+/// `dctcp_fluid::sweep::evaluate` puts on its per-step history ring.
+const MAX_DELAY_STEPS: f64 = 1_048_576.0;
+
 /// Parses the fluid kind's sections. Beyond the shared dumbbell, the
-/// integrator step must resolve the feedback delay, the sampling stride
-/// must not undersample the step, and every marking must have a
-/// continuous-domain analogue: a packet-denominated relay or
-/// hysteresis, the laws [`FluidMarking`] models.
+/// integrator step must resolve the feedback delay in at most
+/// [`MAX_DELAY_STEPS`] steps, the sampling stride must not undersample
+/// the step, and every marking must have a continuous-domain analogue:
+/// a packet-denominated relay or hysteresis, the laws [`FluidMarking`]
+/// models.
 pub(super) fn parse(
     doc: &Document,
     markings: &[(String, MarkingScheme)],
@@ -62,6 +67,18 @@ pub(super) fn parse(
             key: "dt".into(),
             msg: format!(
                 "integrator step must not exceed the {} ns rtt, got {} ns",
+                d.rtt.as_nanos(),
+                run.dt.as_nanos()
+            ),
+        });
+    }
+    // The cell hands `evaluate` these same f64s, so the checks agree.
+    if d.rtt.as_secs_f64() / run.dt.as_secs_f64() > MAX_DELAY_STEPS {
+        return Err(ScenarioError::OutOfRange {
+            line: key_line("dt"),
+            key: "dt".into(),
+            msg: format!(
+                "the {} ns rtt spans more than {MAX_DELAY_STEPS} integrator steps of {} ns",
                 d.rtt.as_nanos(),
                 run.dt.as_nanos()
             ),

@@ -215,6 +215,7 @@ const CORPUS: &[(&str, &str, &str, &str)] = &[
     (FLUID, "dt = 2 us", "dt = 2 us\nstagger = 1 us", "line 13: unknown key `stagger` in [run]"),
     (FLUID, "dt = 2 us", "dt = 0 us", "line 12: `dt` out of range: must be positive"),
     (FLUID, "dt = 2 us", "dt = 500 us", "line 12: `dt` out of range: integrator step must not exceed the 300000 ns rtt, got 500000 ns"),
+    (FLUID, "rtt = 300 us", "rtt = 10 s", "line 12: `dt` out of range: the 10000000000 ns rtt spans more than 1048576 integrator steps of 2000 ns"),
     (FLUID, "dt = 2 us", "dt = 2 us\ntrace = 1 us", "line 13: `trace` out of range: trace stride must be at least the integrator step `dt`"),
     (COLL, "seeds = 1, 2", "seeds = 1, 2\nrounds = 2", "line 20: unknown key `rounds` in [run]"),
     (COLL, "seeds = 1, 2", "seeds = 1,", "line 19: bad value for `seeds`: empty element in list"),
