@@ -94,7 +94,7 @@ pub(crate) fn integrate<const L: usize>(
     assert!(sample_every >= 1);
     let p = *base;
     let steps = step_count(duration, dt);
-    // Delay in step units; < rtt/dt + 1 because dt <= rtt.
+    // Delay in step units, in [0, rtt/dt]; the ring spans it.
     let lag = match model {
         // Whole steps, one fewer than the step-quantised RTT: the
         // marking input at step `s` is σ of the queue at step
