@@ -17,7 +17,8 @@
 #                 benchmark/run.sh --quick) + fluid-xval
 #                 gate (DDE model vs packet anchors within committed
 #                 relative-error bands) + supervision gate (quarantine
-#                 exit codes, kill -9 mid-matrix resume) + shard-parity
+#                 exit codes, journal replay, kill -9 mid-matrix
+#                 resume) + shard-parity
 #                 gate (serial vs sharded engine must render
 #                 byte-identical artifacts) + fct-parity gate (the
 #                 million-flow churn scenario must render byte-identical
@@ -161,12 +162,15 @@ cargo run --offline --release -q -p dctcp-scenario --bin fluid_check -- \
     --artifacts artifacts/repro --report artifacts/fluid_xval_report.txt \
     --all scenarios/
 
-echo "==> supervision gate (quarantine exit codes + kill -9 resume)"
-# Two smokes over the supervised executor. First: a matrix with one
+echo "==> supervision gate (quarantine exit codes + journal replay + kill -9 resume)"
+# Three smokes over the supervised executor. First: a matrix with one
 # panicking and one wedged (deadline-overrunning) cell must complete
 # *partially* — repro exits 3, the artifact carries a machine-readable
 # `failures` block, and repro_check accepts it with exit 3 (holds, with
-# quarantine skips). Second: a cold run SIGKILLed mid-matrix must
+# quarantine skips). Second: re-running that matrix against the same
+# cache replays the panic from the failure journal (the deadline miss
+# is simulated again) and renders the same bytes. Third: a cold run
+# SIGKILLed mid-matrix must
 # resume from the result cache with zero recomputation of completed
 # cells and render artifacts byte-identical to the uninterrupted cold
 # pass above.
@@ -200,7 +204,6 @@ k = 22 pkts
 
 [limits]
 deadline = 2 s
-retries = 0
 inject_panic = boom:2:1
 inject_stall = wedge:2:1
 
@@ -219,7 +222,7 @@ max = 0
 EOF
 REPRO_CODE=0
 cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
-    --out "$SUP_DIR/art" --no-cache "$SUP_DIR/broken.scn" || REPRO_CODE=$?
+    --out "$SUP_DIR/art" --cache "$SUP_DIR/broken_cache" "$SUP_DIR/broken.scn" || REPRO_CODE=$?
 if [ "$REPRO_CODE" -ne 3 ]; then
     echo "ci.sh: partial matrix must exit 3, got $REPRO_CODE" >&2
     exit 1
@@ -235,6 +238,20 @@ if [ "$CHECK_CODE" -ne 3 ]; then
     echo "ci.sh: partial artifact must check with exit 3, got $CHECK_CODE" >&2
     exit 1
 fi
+REPRO_CODE=0
+cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
+    --out "$SUP_DIR/replay" --cache "$SUP_DIR/broken_cache" "$SUP_DIR/broken.scn" \
+    2> "$SUP_DIR/replay.err" || REPRO_CODE=$?
+cat "$SUP_DIR/replay.err" >&2
+if [ "$REPRO_CODE" -ne 3 ]; then
+    echo "ci.sh: replayed partial matrix must exit 3, got $REPRO_CODE" >&2
+    exit 1
+fi
+grep -q '(1 replayed from the journal)' "$SUP_DIR/replay.err" || {
+    echo "ci.sh: second run must replay exactly the panicked cell" >&2
+    exit 1
+}
+diff "$SUP_DIR/art/broken.json" "$SUP_DIR/replay/broken.json"
 
 KILL_SCN="scenarios/fig05_oscillation.scn"
 cargo run --offline --release -q -p dctcp-scenario --bin repro -- \

@@ -1,20 +1,22 @@
 //! Append-only, crash-tolerant run journal.
 //!
 //! The result cache memoizes *successful* cells; the journal records the
-//! rest of a run's durable state — cells that exhausted their retries
-//! and were quarantined — so a run interrupted by `SIGKILL` can resume
-//! without repeating known-deterministic failures.
+//! rest of a run's durable state — cells that failed and were
+//! quarantined — so a run interrupted by `SIGKILL` can resume without
+//! repeating known-deterministic failures.
 //!
 //! The file is append-only with one self-checking record per line:
 //!
 //! ```text
-//! <fnv128 of body, 32 hex> v1 f <key hex> <attempts> <kind> <escaped msg>
+//! <fnv128 of body, 32 hex> v2 f <key hex> <kind> <escaped msg>
 //! ```
 //!
-//! A record is only believed when its leading digest matches its body,
-//! so the torn final line a `kill -9` can leave behind (or any other
-//! corruption) is skipped instead of poisoning the load — crash
-//! consistency without fsync discipline. Appends are serialized by the
+//! A record is only believed when its leading digest matches its body
+//! and its body has the current `v2` grammar, so the torn final line a
+//! `kill -9` can leave behind (or any other corruption, or a `v1` line
+//! from an older binary) is skipped instead of poisoning the load —
+//! crash consistency without fsync discipline. A skipped record costs
+//! one re-run of its cell. Appends are serialized by the
 //! OS's `O_APPEND` semantics; records for the same key supersede older
 //! ones in file order.
 
@@ -29,8 +31,6 @@ use crate::{CacheKey, Fnv128};
 pub struct FailureRecord {
     /// The failed cell's content address (same key space as the cache).
     pub key: CacheKey,
-    /// Attempts consumed before quarantine (first try + retries).
-    pub attempts: u32,
     /// Failure kind token (no spaces); vocabulary owned by the caller.
     pub kind: String,
     /// Human-readable failure message.
@@ -72,9 +72,8 @@ impl Journal {
             std::fs::create_dir_all(parent)?;
         }
         let body = format!(
-            "v1 f {} {} {} {}",
+            "v2 f {} {} {}",
             rec.key.hex(),
-            rec.attempts,
             token(&rec.kind),
             escape(&rec.msg)
         );
@@ -137,15 +136,12 @@ fn parse_line(line: &str) -> Option<FailureRecord> {
     if h.finish() != recorded {
         return None;
     }
-    let rest = body.strip_prefix("v1 f ")?;
+    let rest = body.strip_prefix("v2 f ")?;
     let (key_hex, rest) = rest.split_once(' ')?;
     let key = CacheKey::from_hex(key_hex)?;
-    let (attempts, rest) = rest.split_once(' ')?;
-    let attempts = attempts.parse().ok()?;
     let (kind, msg) = rest.split_once(' ')?;
     Some(FailureRecord {
         key,
-        attempts,
         kind: kind.to_string(),
         msg: unescape(msg),
     })
@@ -205,10 +201,9 @@ mod tests {
         kb.finish()
     }
 
-    fn rec(seed: &str, attempts: u32, kind: &str, msg: &str) -> FailureRecord {
+    fn rec(seed: &str, kind: &str, msg: &str) -> FailureRecord {
         FailureRecord {
             key: key(seed),
-            attempts,
             kind: kind.into(),
             msg: msg.into(),
         }
@@ -223,8 +218,8 @@ mod tests {
     #[test]
     fn append_load_round_trips() {
         let j = tmp_journal("roundtrip");
-        let a = rec("1", 3, "panicked", "poisoned cell");
-        let b = rec("2", 1, "failed", "multi\nline \\ message");
+        let a = rec("1", "panicked", "poisoned cell");
+        let b = rec("2", "failed", "multi\nline \\ message");
         j.append_failure(&a).unwrap();
         j.append_failure(&b).unwrap();
         let loaded = j.load_failures();
@@ -243,21 +238,20 @@ mod tests {
     #[test]
     fn later_records_supersede_earlier_ones() {
         let j = tmp_journal("supersede");
-        j.append_failure(&rec("1", 1, "failed", "first")).unwrap();
-        j.append_failure(&rec("1", 3, "panicked", "second"))
-            .unwrap();
+        j.append_failure(&rec("1", "failed", "first")).unwrap();
+        j.append_failure(&rec("1", "panicked", "second")).unwrap();
         let loaded = j.load_failures();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[&key("1")].msg, "second");
-        assert_eq!(loaded[&key("1")].attempts, 3);
+        assert_eq!(loaded[&key("1")].kind, "panicked");
         cleanup(&j);
     }
 
     #[test]
     fn torn_tail_is_skipped_not_fatal() {
         let j = tmp_journal("torn");
-        j.append_failure(&rec("1", 2, "panicked", "kept")).unwrap();
-        j.append_failure(&rec("2", 2, "panicked", "torn")).unwrap();
+        j.append_failure(&rec("1", "panicked", "kept")).unwrap();
+        j.append_failure(&rec("2", "panicked", "torn")).unwrap();
         // Simulate a kill -9 mid-append: truncate inside the last line.
         let body = std::fs::read_to_string(j.path()).unwrap();
         std::fs::write(j.path(), &body[..body.len() - 9]).unwrap();
@@ -267,7 +261,7 @@ mod tests {
         // Appends after the crash land on a fresh line (the torn
         // fragment is fenced off by the newline repair), so new records
         // are believable while the torn one stays dead.
-        j.append_failure(&rec("3", 1, "failed", "after")).unwrap();
+        j.append_failure(&rec("3", "failed", "after")).unwrap();
         let loaded = j.load_failures();
         assert_eq!(loaded.len(), 2);
         assert!(loaded.contains_key(&key("1")));
@@ -278,8 +272,8 @@ mod tests {
     #[test]
     fn bit_flip_invalidates_only_that_line() {
         let j = tmp_journal("flip");
-        j.append_failure(&rec("1", 1, "failed", "aaaa")).unwrap();
-        j.append_failure(&rec("2", 1, "failed", "bbbb")).unwrap();
+        j.append_failure(&rec("1", "failed", "aaaa")).unwrap();
+        j.append_failure(&rec("2", "failed", "bbbb")).unwrap();
         let mut body = std::fs::read(j.path()).unwrap();
         // Flip a byte in the first line's message.
         let pos = body.iter().position(|&b| b == b'a').unwrap();
@@ -292,9 +286,28 @@ mod tests {
     }
 
     #[test]
+    fn checksummed_v1_lines_are_skipped_not_misparsed() {
+        let j = tmp_journal("v1");
+        // A well-formed record from an older binary: correct digest,
+        // old grammar (a count field before the kind).
+        let body = format!("v1 f {} 2 panicked old record", key("1").hex());
+        let mut h = Fnv128::new();
+        h.update(body.as_bytes());
+        std::fs::create_dir_all(j.path().parent().unwrap()).unwrap();
+        std::fs::write(j.path(), format!("{:032x} {body}\n", h.finish())).unwrap();
+        assert!(j.load_failures().is_empty());
+        // Records appended after it load normally.
+        j.append_failure(&rec("2", "failed", "new")).unwrap();
+        let loaded = j.load_failures();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[&key("2")].msg, "new");
+        cleanup(&j);
+    }
+
+    #[test]
     fn kind_tokens_never_break_the_grammar() {
         let j = tmp_journal("token");
-        j.append_failure(&rec("1", 1, "weird kind", "msg")).unwrap();
+        j.append_failure(&rec("1", "weird kind", "msg")).unwrap();
         let loaded = j.load_failures();
         assert_eq!(loaded[&key("1")].kind, "weird-kind");
         cleanup(&j);

@@ -50,10 +50,7 @@ pub struct FailureCell {
     pub flows: u32,
     /// Workload seed at the failed point.
     pub seed: u64,
-    /// Attempts consumed before quarantine (first try + retries).
-    pub attempts: u32,
-    /// Failure kind token (`panicked` / `deadline` / `failed` /
-    /// `non_deterministic`).
+    /// Failure kind token (`panicked` / `deadline` / `failed`).
     pub kind: String,
     /// Human-readable failure message (deterministic: a function of the
     /// scenario configuration and failure site, never of wall time).
@@ -112,12 +109,11 @@ impl Artifact {
             let _ = write!(
                 out,
                 "    {{\"error\": \"{}\", \"marking\": \"{}\", \"flows\": {}, \"seed\": {}, \
-                 \"attempts\": {}, \"msg\": \"{}\"}}",
+                 \"msg\": \"{}\"}}",
                 json_safe(&c.kind),
                 c.marking,
                 c.flows,
                 c.seed,
-                c.attempts,
                 json_safe(&c.msg)
             );
             if i + 1 < self.failures.len() {
@@ -268,7 +264,6 @@ fn parse_failure(line: &str, path: &str) -> Result<FailureCell, ScenarioError> {
         marking: string_field(line, "marking").ok_or_else(|| bad("missing marking".into()))?,
         flows: num_field(line, "flows").ok_or_else(|| bad("missing flows".into()))? as u32,
         seed: num_field(line, "seed").ok_or_else(|| bad("missing seed".into()))? as u64,
-        attempts: num_field(line, "attempts").ok_or_else(|| bad("missing attempts".into()))? as u32,
         msg: string_field(line, "msg").ok_or_else(|| bad("missing msg".into()))?,
     })
 }
@@ -350,7 +345,6 @@ mod tests {
             marking: marking.into(),
             flows: 4,
             seed: 1,
-            attempts: 2,
             kind: kind.into(),
             msg: msg.into(),
         }
@@ -425,6 +419,10 @@ mod tests {
         assert!(parsed.accounts_for(4));
         assert!(!parsed.accounts_for(3));
         assert_eq!(parsed.quarantined_markings(), vec!["dctcp", "dt-dctcp"]);
+        // Fields are read by name, so a failure line carrying a field
+        // this version no longer writes parses to the same manifest.
+        let older = rendered.replace("\"msg\"", "\"dropped\": 2, \"msg\"");
+        assert_eq!(Artifact::parse(&older, "t.json").unwrap(), a);
     }
 
     #[test]

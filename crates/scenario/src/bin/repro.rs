@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--threads N] [--out DIR] [--cache DIR | --no-cache]
-//!       [--retries N] (--all SCENARIO_DIR | FILE.scn ...)
+//!       (--all SCENARIO_DIR | FILE.scn ...)
 //! ```
 //!
 //! Runs each scenario's full matrix (markings × flows × seeds) through
@@ -21,17 +21,22 @@
 //! `repro: cache H hits, M misses`, is machine-readable (ci.sh greps
 //! it to assert the warm CI pass was served from the cache).
 //!
-//! Execution is *supervised*: a cell that panics, overruns its
-//! wall-clock deadline, or fails its simulation is quarantined into
-//! the artifact's `failures` block (and the cache's failure journal)
-//! instead of aborting the run — the rest of the matrix still
-//! completes, and the exit code says how much survived:
+//! Execution is *supervised*: each simulated cell runs once, and a
+//! cell that panics, overruns its wall-clock deadline, or fails its
+//! simulation is quarantined into the artifact's `failures` block (and
+//! the cache's failure journal) instead of aborting the run — the rest
+//! of the matrix still completes, and the exit code says how much
+//! survived:
 //!
 //! * `0` — every cell of every scenario produced a point;
 //! * `3` — partial: some cells were quarantined, some succeeded;
 //! * `4` — failed: every cell was quarantined;
 //! * `1` — invocation or I/O error (bad flags, unreadable scenario,
 //!   unwritable artifact).
+//!
+//! A cached run replays journaled panics and failures instead of
+//! repeating them; a deadline miss is simulated again. To re-run a
+//! replayed cell, clear the cache directory.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,7 +48,6 @@ struct Args {
     threads: usize,
     out: PathBuf,
     cache: Option<PathBuf>,
-    retries: Option<u32>,
     scenarios: Vec<PathBuf>,
 }
 
@@ -52,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         out: PathBuf::from("artifacts/repro"),
         cache: Some(PathBuf::from("artifacts/cache")),
-        retries: None,
         scenarios: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -67,15 +70,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a value")?));
             }
             "--no-cache" => args.cache = None,
-            "--retries" => {
-                let v = it.next().ok_or("--retries needs a value")?;
-                let n: u32 = v.parse().map_err(|_| format!("bad --retries `{v}`"))?;
-                // Same cap as the `[limits]` parser.
-                if n > 8 {
-                    return Err(format!("--retries must be at most 8, got {n}"));
-                }
-                args.retries = Some(n);
-            }
             "--all" => {
                 let dir = PathBuf::from(it.next().ok_or("--all needs a directory")?);
                 let found = list_scenarios(&dir).map_err(|e| e.to_string())?;
@@ -86,7 +80,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: repro [--threads N] [--out DIR] \
-                            [--cache DIR | --no-cache] [--retries N] \
+                            [--cache DIR | --no-cache] \
                             (--all SCENARIO_DIR | FILE.scn ...)"
                     .into())
             }
@@ -128,10 +122,7 @@ fn run() -> Result<Outcome, String> {
         quarantined: 0,
     };
     for path in &args.scenarios {
-        let mut spec = ScenarioSpec::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        if let Some(r) = args.retries {
-            spec.limits.retries = r;
-        }
+        let spec = ScenarioSpec::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!(
             "repro: {} ({}, {} markings x {} flow counts x {} seeds = {} points)",
             spec.name,
@@ -148,7 +139,6 @@ fn run() -> Result<Outcome, String> {
         let (artifact, stats) = run_scenario_supervised(&spec, args.threads, cache.as_ref());
         total.hits += stats.hits;
         total.misses += stats.misses;
-        total.retried += stats.retried;
         total.quarantined += stats.quarantined;
         total.replayed += stats.replayed;
         outcome.points += artifact.points.len();
@@ -161,15 +151,15 @@ fn run() -> Result<Outcome, String> {
             out_path.display(),
             stats.hits,
             stats.misses,
-            match (stats.retried, stats.quarantined) {
-                (0, 0) => String::new(),
-                (r, q) => format!(", {r} retried, {q} quarantined"),
+            match stats.quarantined {
+                0 => String::new(),
+                q => format!(", {q} quarantined"),
             },
         );
         for f in &artifact.failures {
             eprintln!(
-                "repro:   QUARANTINED ({}, N={}, seed {}) after {} attempt(s): {}",
-                f.marking, f.flows, f.seed, f.attempts, f.msg
+                "repro:   QUARANTINED ({}, N={}, seed {}): {}",
+                f.marking, f.flows, f.seed, f.msg
             );
         }
     }

@@ -88,8 +88,8 @@ fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<(usize, us
     }
     for f in &artifact.failures {
         eprintln!(
-            "repro_check:   QUARANTINED ({}, N={}, seed {}) after {} attempt(s): {}",
-            f.marking, f.flows, f.seed, f.attempts, f.msg
+            "repro_check:   QUARANTINED ({}, N={}, seed {}): {}",
+            f.marking, f.flows, f.seed, f.msg
         );
     }
     let report = check_artifact_partial(&spec.expectations, artifact);

@@ -662,7 +662,6 @@ mod tests {
             marking: marking.into(),
             flows: 8,
             seed: 1,
-            attempts: 2,
             kind: "panicked".into(),
             msg: "boom".into(),
         });

@@ -45,25 +45,25 @@ const MINIMAL: [&str; 6] = [
 
 /// `(scenario name, digest of the parsed spec's `Debug` rendering)`.
 const SPEC_PINS: &[(&str, &str)] = &[
-    ("aqm_baselines", "15c014572493d76e74771c08624cb6a8"),
-    ("fattree_ecmp_skew", "44a1bdd11248649f9ad76b7430eff21d"),
-    ("fattree_incast", "9c57ab30247d7653547fb3626b973b96"),
-    ("fault_recovery", "969a53b507757e82dc0ef795e1dce791"),
-    ("fct_churn", "11e923a125f33172a256f47a2c8ec4ef"),
-    ("fig05_oscillation", "06c1acc24680b4277866890759a8b5f5"),
-    ("fig10_12_flow_sweep", "a5f88cfc8c4f1f01c5a39f2b48f5a960"),
-    ("fig13_incast", "9f29af8cc6cbd522bc9a1e5be7114c4a"),
-    ("fig13_query", "f788a504982087cd5850ee1eda8881b4"),
-    ("fluid_scaleout", "c68bbbd99c8062b6e297074feafe6125"),
-    ("fluid_xval", "42a3a5e4529279108cee4fe9b2c00a6a"),
-    ("linux_dctcp_flaws", "b19f560a2fa56feee055c48b944e9d86"),
-    ("threshold_settings", "6c148704cec36a7a0bba401f659903ed"),
-    ("ll", "eff6c0bbab8234d6ceca46f59b0785de"),
-    ("in", "119ef3f9f97982c168e741cb233733b5"),
-    ("pa", "fbebcc537ec161d326a5b2c4dc95dfa4"),
-    ("co", "4ca8834979ee39def3dd31bfe83a647e"),
-    ("fl", "0ae92f0bb6a8234eecce281c6ee7bd3c"),
-    ("fc", "316d5817c456ba36fefc028a47aabcaf"),
+    ("aqm_baselines", "e33a0d3e3a3c9b0ef0264ae99b6c1991"),
+    ("fattree_ecmp_skew", "d7a62b0be156ee60bbed04915625c79c"),
+    ("fattree_incast", "b1ef8c44bcaf44333e9559504f2a26b3"),
+    ("fault_recovery", "6e1014664c3a9ac7fb2bf170d013d01a"),
+    ("fct_churn", "d677cce8083b2a9bb0d7e85466f12464"),
+    ("fig05_oscillation", "c52a4be3565bc0349cb786744c1fbb34"),
+    ("fig10_12_flow_sweep", "0e4f827457c3f3a52b5868fce6c1e43b"),
+    ("fig13_incast", "154ea3513a507bbc8c999e42980dfa77"),
+    ("fig13_query", "24f0860cf7f7f71fa5a4e005e0298339"),
+    ("fluid_scaleout", "674bbd4c1e40de0239c99892511d81f4"),
+    ("fluid_xval", "806e2c7e04bc6e9e38bf0e71c8717847"),
+    ("linux_dctcp_flaws", "d53652d0038034d8129e8160ca3bde2c"),
+    ("threshold_settings", "a93eae2ceb2e5da09e284c9728c2d8b8"),
+    ("ll", "79c2c3781b279bac8a67379ab8294f53"),
+    ("in", "3eb526b2fd3bd03eafe5ee0d67da557e"),
+    ("pa", "474da78d2a0f33ee256db367346ef919"),
+    ("co", "321efe595d83ca1e84fe597f5cabc973"),
+    ("fl", "e09c095179200e712dadfc99a4468301"),
+    ("fc", "989ce2e49526d039d77c6fabb33ea0c0"),
 ];
 
 fn scenario_dir() -> std::path::PathBuf {

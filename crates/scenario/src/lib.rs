@@ -62,8 +62,8 @@ pub use kinds::{
 };
 pub use runner::{run_scenario_supervised, CacheStats};
 pub use spec::{
-    InjectFault, InjectSpec, LimitsSpec, RunSpec, ScenarioSpec, TopologySpec, DEFAULT_RETRIES,
-    MAX_FLOWS, MAX_FLUID_FLOWS,
+    InjectFault, InjectSpec, LimitsSpec, RunSpec, ScenarioSpec, TopologySpec, MAX_FLOWS,
+    MAX_FLUID_FLOWS,
 };
 pub use supervise::CellError;
 pub use xval::{check_xval, XvalReport, XvalSpec, XvalViolation};

@@ -16,18 +16,17 @@
 //! The executor is also *supervised* — one broken cell cannot take the
 //! matrix down or wedge it:
 //!
-//! * every attempt runs under [`dctcp_parallel::run_isolated`], so a
-//!   panic becomes a typed [`CellError::Panicked`] value;
+//! * each miss runs exactly once, under [`dctcp_parallel::run_isolated`],
+//!   so a panic becomes a typed [`CellError::Panicked`] value;
 //! * a watchdog thread fires each running cell's [`CancelToken`] at its
 //!   wall-clock deadline, which the simulator's cooperative
 //!   cancellation poll turns into [`CellError::DeadlineExceeded`];
-//! * failed attempts are retried up to the `[limits] retries` budget; a
-//!   success after a failure is verified bit-identical against a clean
-//!   re-run (anything else is [`CellError::NonDeterministic`]);
-//! * cells that exhaust the budget are quarantined into the artifact's
-//!   `failures` block and recorded in the cache directory's journal, so
-//!   a resumed run replays deterministic failures instead of repeating
-//!   them.
+//! * a failed cell is quarantined into the artifact's `failures` block
+//!   and recorded in the cache directory's journal, so a resumed run
+//!   replays deterministic failures instead of repeating them. There is
+//!   no retry: a cell is a pure function of its key material, so a
+//!   panic or a typed failure recurs on every attempt, and a deadline
+//!   miss is re-run by the next invocation.
 //!
 //! Crash consistency: each cell's result is written to the cache (and
 //! each quarantine to the journal) *by the worker that produced it*,
@@ -90,8 +89,6 @@ pub struct CacheStats {
     pub hits: usize,
     /// Cells that had to be simulated (and, on success, stored).
     pub misses: usize,
-    /// Simulated cells that succeeded only after at least one retry.
-    pub retried: usize,
     /// Cells carried in the artifact's `failures` block.
     pub quarantined: usize,
     /// Quarantined cells replayed from the failure journal instead of
@@ -108,10 +105,10 @@ enum Slot {
 /// Runs a scenario's matrix under full supervision: an optional
 /// content-addressed result cache serves completed cells, a failure
 /// journal replays deterministic quarantines, and every miss executes
-/// under panic isolation, a wall-clock deadline and a bounded retry
-/// budget (see the module docs). This function never fails — broken
-/// cells land in the artifact's `failures` block and the remaining
-/// matrix still produces its points.
+/// once under panic isolation and a wall-clock deadline (see the module
+/// docs). This function never fails — broken cells land in the
+/// artifact's `failures` block and the remaining matrix still produces
+/// its points.
 ///
 /// Cache and journal writes are best-effort (a failed write only costs
 /// a future re-run); corrupt or mismatched entries read as misses and
@@ -127,10 +124,6 @@ pub fn run_scenario_supervised(
         threads
     };
     let cells = matrix(spec);
-
-    // The retry budget counts *attempts*: `retries = 1` means one run
-    // plus at most one retry.
-    let budget = spec.limits.retries + 1;
     let journal = cache.map(|c| Journal::in_cache_root(c.root()));
     let journaled = journal
         .as_ref()
@@ -141,8 +134,7 @@ pub fn run_scenario_supervised(
     // immediately) and misses (executed below). Hit metrics must carry
     // exactly the kind's metric names — anything else is treated as
     // corruption and recomputed. A journaled failure is replayed only
-    // when it is deterministic *and* was recorded under at least the
-    // current attempt budget, so raising `retries` re-runs the cell.
+    // when it is deterministic; a deadline miss runs again.
     let fingerprint = dctcp_cache::code_fingerprint();
     let mut slots: Vec<Option<Slot>> = cells.iter().map(|_| None).collect();
     let mut stats = CacheStats::default();
@@ -164,14 +156,13 @@ pub fn run_scenario_supervised(
             continue;
         }
         if let Some(rec) = key.and_then(|k| journaled.get(&k)) {
-            if CellError::kind_is_deterministic(&rec.kind) && rec.attempts >= budget {
+            if CellError::kind_is_deterministic(&rec.kind) {
                 stats.quarantined += 1;
                 stats.replayed += 1;
                 slots[idx] = Some(Slot::Failure(FailureCell {
                     marking: cell.label,
                     flows: cell.flows,
                     seed: cell.seed,
-                    attempts: rec.attempts,
                     kind: rec.kind.clone(),
                     msg: rec.msg.clone(),
                 }));
@@ -203,17 +194,13 @@ pub fn run_scenario_supervised(
                 journal.as_ref(),
                 &watchdog,
                 deadline,
-                budget,
             );
             (idx, cell, outcome)
         })
     };
     for (idx, cell, outcome) in computed {
         match outcome {
-            Ok((metrics, attempts)) => {
-                if attempts > 1 {
-                    stats.retried += 1;
-                }
+            Ok(metrics) => {
                 slots[idx] = Some(Slot::Point(Point {
                     marking: cell.label,
                     flows: cell.flows,
@@ -227,7 +214,6 @@ pub fn run_scenario_supervised(
                     marking: cell.label,
                     flows: cell.flows,
                     seed: cell.seed,
-                    attempts: budget,
                     kind: e.kind().into(),
                     msg: e.to_string(),
                 }));
@@ -254,12 +240,9 @@ pub fn run_scenario_supervised(
     )
 }
 
-/// Executes one miss under supervision: up to `budget` attempts, each
-/// isolated and deadline-watched, with a bit-identical clean-run
-/// verification after any retried success. On success the metrics are
-/// stored in the cache; on quarantine the failure is journaled. Returns
-/// the metrics with the number of attempts consumed.
-#[allow(clippy::too_many_arguments)]
+/// Executes one miss under supervision: one isolated, deadline-watched
+/// attempt. On success the metrics are stored in the cache; on failure
+/// the error is journaled.
 fn run_supervised_cell(
     spec: &ScenarioSpec,
     cell: &Cell,
@@ -268,61 +251,25 @@ fn run_supervised_cell(
     journal: Option<&Journal>,
     watchdog: &Watchdog,
     deadline: Duration,
-    budget: u32,
-) -> Result<(Vec<(String, f64)>, u32), CellError> {
-    let inject = spec
-        .limits
-        .injection_for(&cell.label, cell.flows, cell.seed);
-    let mut last = CellError::Failed {
-        msg: "cell was never attempted".into(),
-    };
-    let mut verdict = None;
-    for attempt in 0..budget {
-        if attempt > 0 && spec.limits.backoff > dctcp_sim::SimDuration::ZERO {
-            std::thread::sleep(Duration::from_nanos(spec.limits.backoff.as_nanos()) * attempt);
-        }
-        match run_attempt(spec, cell, inject, attempt, watchdog, deadline) {
-            Ok(metrics) => {
-                if attempt > 0 {
-                    // A success that needed a retry is only trusted if a
-                    // clean re-run (no injection) reproduces it bit for
-                    // bit — otherwise the cell's result depends on
-                    // something other than its inputs.
-                    match run_attempt(spec, cell, None, 0, watchdog, deadline) {
-                        Ok(clean) if clean == metrics => {}
-                        Ok(_) => {
-                            verdict = Some(CellError::NonDeterministic {
-                                msg: "retried success differs from a clean verification re-run"
-                                    .into(),
-                            });
-                            break;
-                        }
-                        Err(e) => {
-                            verdict = Some(CellError::NonDeterministic {
-                                msg: format!("clean verification re-run failed: {e}"),
-                            });
-                            break;
-                        }
-                    }
-                }
-                if let (Some(cache), Some(key)) = (cache, key) {
-                    let _ = cache.put(key, &metrics);
-                }
-                return Ok((metrics, attempt + 1));
+) -> Result<Vec<(String, f64)>, CellError> {
+    let outcome = run_attempt(spec, cell, watchdog, deadline);
+    match &outcome {
+        Ok(metrics) => {
+            if let (Some(cache), Some(key)) = (cache, key) {
+                let _ = cache.put(key, metrics);
             }
-            Err(e) => last = e,
+        }
+        Err(error) => {
+            if let (Some(journal), Some(key)) = (journal, key) {
+                let _ = journal.append_failure(&FailureRecord {
+                    key,
+                    kind: error.kind().into(),
+                    msg: error.to_string(),
+                });
+            }
         }
     }
-    let error = verdict.unwrap_or(last);
-    if let (Some(journal), Some(key)) = (journal, key) {
-        let _ = journal.append_failure(&FailureRecord {
-            key,
-            attempts: budget,
-            kind: error.kind().into(),
-            msg: error.to_string(),
-        });
-    }
-    Err(error)
+    outcome
 }
 
 /// One isolated, deadline-supervised execution of a cell, with any
@@ -330,20 +277,18 @@ fn run_supervised_cell(
 fn run_attempt(
     spec: &ScenarioSpec,
     cell: &Cell,
-    inject: Option<InjectFault>,
-    attempt: u32,
     watchdog: &Watchdog,
     deadline: Duration,
 ) -> Result<Vec<(String, f64)>, CellError> {
+    let inject = spec
+        .limits
+        .injection_for(&cell.label, cell.flows, cell.seed);
     let token = CancelToken::new();
     let _guard = watchdog.register(deadline, token.clone());
     let sim_token = token.clone();
     let outcome = run_isolated(move || -> Result<Vec<(String, f64)>, SimError> {
         match inject {
             Some(InjectFault::Panic) => panic!("injected panic via [limits] inject_panic"),
-            Some(InjectFault::Flaky) if attempt == 0 => {
-                panic!("injected first-attempt failure via [limits] inject_flaky")
-            }
             Some(InjectFault::Stall) => {
                 // A wedged cell: burn wall-clock, never events, until
                 // the watchdog fires — exactly what a livelocked
@@ -353,7 +298,7 @@ fn run_attempt(
                 }
                 return Err(SimError::Cancelled { at: SimTime::ZERO });
             }
-            _ => {}
+            None => {}
         }
         run_cell_raw(spec, cell, Some(sim_token))
     });
@@ -386,8 +331,8 @@ pub(crate) fn cell_key(spec: &ScenarioSpec, cell: &Cell, fingerprint: &str) -> C
         .field("flows", &cell.flows.to_string())
         .field("seed", &cell.seed.to_string())
         // A fault injection changes what the cell *does*, so it is key
-        // material even though the retry/deadline budgets (which only
-        // change how failures are handled) are not.
+        // material even though the deadline (which only changes how
+        // failures are handled) is not.
         .field(
             "inject",
             spec.limits
@@ -578,16 +523,15 @@ k2 = 25 pkts
 
     #[test]
     fn injected_panics_are_quarantined_not_fatal() {
-        let spec = two_cell_spec_with("retries = 0\ninject_panic = dt:2:1\n");
+        let spec = two_cell_spec_with("inject_panic = dt:2:1\n");
         let (a, s) = run_scenario_supervised(&spec, 2, None);
         assert_eq!(a.points.len(), 1);
         assert_eq!(a.failures.len(), 1);
         let f = &a.failures[0];
         assert_eq!((f.marking.as_str(), f.flows, f.seed), ("dt", 2, 1));
         assert_eq!(f.kind, "panicked");
-        assert_eq!(f.attempts, 1);
         assert!(f.msg.contains("injected panic"), "{}", f.msg);
-        assert_eq!((s.quarantined, s.retried, s.replayed), (1, 0, 0));
+        assert_eq!((s.quarantined, s.replayed), (1, 0));
     }
 
     /// A stalled `dctcp` cell next to a healthy `dt` one. The stalled
@@ -595,7 +539,7 @@ k2 = 25 pkts
     /// 2 s (not tens of ms) so the healthy cell — a few ms of work —
     /// cannot miss it too when the whole test suite shares two cores.
     fn stalled_cell_spec() -> ScenarioSpec {
-        two_cell_spec_with("retries = 0\ndeadline = 2 s\ninject_stall = dctcp:2:1\n")
+        two_cell_spec_with("deadline = 2 s\ninject_stall = dctcp:2:1\n")
     }
 
     #[test]
@@ -616,31 +560,8 @@ k2 = 25 pkts
     }
 
     #[test]
-    fn flaky_cells_retry_into_a_clean_artifact() {
-        // First attempt of the dt cell panics; the retry succeeds and is
-        // verified bit-identical against a clean run, so the artifact
-        // matches an injection-free run of the same matrix exactly.
-        let flaky = two_cell_spec_with("retries = 1\ninject_flaky = dt:2:1\n");
-        let (a, s) = run_scenario_supervised(&flaky, 2, None);
-        assert!(a.failures.is_empty(), "{:?}", a.failures);
-        assert_eq!((s.retried, s.quarantined), (1, 0));
-
-        let clean = run_clean(&two_cell_spec());
-        assert_eq!(a.render(), clean.render());
-    }
-
-    #[test]
-    fn flaky_cells_without_retry_budget_are_quarantined() {
-        let spec = two_cell_spec_with("retries = 0\ninject_flaky = dt:2:1\n");
-        let (a, s) = run_scenario_supervised(&spec, 2, None);
-        assert_eq!(a.failures.len(), 1);
-        assert_eq!(a.failures[0].kind, "panicked");
-        assert_eq!(s.quarantined, 1);
-    }
-
-    #[test]
     fn journal_replays_deterministic_failures_on_resume() {
-        let spec = two_cell_spec_with("retries = 0\ninject_panic = dt:2:1\n");
+        let spec = two_cell_spec_with("inject_panic = dt:2:1\n");
         let cache = tmp_cache("journal");
 
         let (cold, s) = run_scenario_supervised(&spec, 2, Some(&cache));
@@ -651,14 +572,6 @@ k2 = 25 pkts
         let (warm, s) = run_scenario_supervised(&spec, 2, Some(&cache));
         assert_eq!((s.hits, s.misses, s.quarantined, s.replayed), (1, 0, 1, 1));
         assert_eq!(warm.render(), cold.render());
-
-        // Raising the retry budget invalidates the journaled record —
-        // the cell runs again (and, still panicking, is re-quarantined
-        // under the larger budget).
-        let bigger = two_cell_spec_with("retries = 2\ninject_panic = dt:2:1\n");
-        let (again, s) = run_scenario_supervised(&bigger, 2, Some(&cache));
-        assert_eq!((s.hits, s.misses, s.replayed), (1, 1, 0));
-        assert_eq!(again.failures[0].attempts, 3);
         let _ = std::fs::remove_dir_all(cache.root());
     }
 

@@ -6,8 +6,8 @@ use dctcp_tcp::TcpConfig;
 
 use crate::kinds::{self, FctWorkloadSpec, KindSpec};
 use crate::parse::{
-    parse_duration, parse_f64, parse_level, parse_positive_duration, parse_rate_bps, parse_uint,
-    Document, RawEntry, RawSection,
+    parse_f64, parse_level, parse_positive_duration, parse_rate_bps, parse_uint, Document,
+    RawEntry, RawSection,
 };
 use crate::{
     CollectiveWorkloadSpec, DumbbellSpec, Expectation, FatTreeSpec, FaultSpec, ScenarioError,
@@ -38,14 +38,11 @@ pub enum TopologySpec {
 /// Which chaos fault an `inject_*` key plants in a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectFault {
-    /// The cell panics on every attempt (`inject_panic`).
+    /// The cell panics (`inject_panic`).
     Panic,
     /// The cell hangs, burning wall-clock until its deadline cancels it
     /// (`inject_stall`).
     Stall,
-    /// The cell panics on its first attempt only, then succeeds
-    /// (`inject_flaky`) — the retry-determinism probe.
-    Flaky,
 }
 
 impl InjectFault {
@@ -54,7 +51,6 @@ impl InjectFault {
         match self {
             InjectFault::Panic => "panic",
             InjectFault::Stall => "stall",
-            InjectFault::Flaky => "flaky",
         }
     }
 }
@@ -72,33 +68,14 @@ pub struct InjectSpec {
     pub seed: u64,
 }
 
-/// Default bounded-retry budget: one retry after the first failure.
-pub const DEFAULT_RETRIES: u32 = 1;
-
 /// Supervision limits for cell execution (`[limits]` section).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LimitsSpec {
     /// Per-cell wall-clock deadline. `None` derives a default from the
     /// simulated duration (see [`ScenarioSpec::cell_deadline`]).
     pub deadline: Option<SimDuration>,
-    /// Retries after a failed first attempt (0 = fail immediately).
-    pub retries: u32,
-    /// Wall-clock pause before each retry (scaled by the attempt
-    /// number).
-    pub backoff: SimDuration,
     /// Chaos injections, in file order.
     pub inject: Vec<InjectSpec>,
-}
-
-impl Default for LimitsSpec {
-    fn default() -> LimitsSpec {
-        LimitsSpec {
-            deadline: None,
-            retries: DEFAULT_RETRIES,
-            backoff: SimDuration::ZERO,
-            inject: Vec::new(),
-        }
-    }
 }
 
 impl LimitsSpec {
@@ -448,10 +425,6 @@ fn parse_one_marking(s: &RawSection) -> Result<MarkingScheme, ScenarioError> {
     Ok(scheme)
 }
 
-/// Hard cap on the retry budget — past a handful of attempts a cell is
-/// not flaky, it is broken, and retrying only delays the quarantine.
-const MAX_RETRIES: u32 = 8;
-
 fn parse_limits(
     doc: &Document,
     run: &RunSpec,
@@ -460,36 +433,25 @@ fn parse_limits(
     let Some(s) = doc.section("limits") else {
         return Ok(LimitsSpec::default());
     };
-    s.reject_unknown_keys(&[
-        "deadline",
-        "retries",
-        "backoff",
-        "inject_panic",
-        "inject_stall",
-        "inject_flaky",
-    ])?;
+    s.reject_unknown_keys(&["deadline", "retries", "inject_panic", "inject_stall"])?;
     let mut spec = LimitsSpec {
         deadline: s.get("deadline").map(parse_positive_duration).transpose()?,
         ..LimitsSpec::default()
     };
+    // No-op: benchmark/scenarios/linux_dctcp_flaws.scn sets it until ROADMAP 1a deletes it.
     if let Some(e) = s.get("retries") {
-        spec.retries = parse_uint(e)?;
-        if spec.retries > MAX_RETRIES {
+        let retries: u32 = parse_uint(e)?;
+        if retries > 8 {
             return Err(ScenarioError::OutOfRange {
                 line: e.line,
                 key: "retries".into(),
-                msg: format!(
-                    "retries must be at most {MAX_RETRIES}, got {}",
-                    spec.retries
-                ),
+                msg: format!("retries must be at most 8, got {retries}"),
             });
         }
     }
-    s.set("backoff", &mut spec.backoff, parse_duration)?;
     for (key, fault) in [
         ("inject_panic", InjectFault::Panic),
         ("inject_stall", InjectFault::Stall),
-        ("inject_flaky", InjectFault::Flaky),
     ] {
         if let Some(e) = s.get(key) {
             spec.inject
@@ -577,7 +539,6 @@ k = 40 pkts
     fn default_limits_without_a_section() {
         let s = ScenarioSpec::parse(MINIMAL).unwrap();
         assert_eq!(s.limits, LimitsSpec::default());
-        assert_eq!(s.limits.retries, DEFAULT_RETRIES);
         // Derived deadline: 1000× the simulated span (default 20 ms
         // warmup + 50 ms duration → 70 s of wall clock).
         assert_eq!(s.cell_deadline(), SimDuration::from_secs(70));
@@ -589,18 +550,16 @@ k = 40 pkts
     }
 
     #[test]
-    fn limits_section_parses_deadline_retries_and_injections() {
+    fn limits_section_parses_deadline_and_injections() {
         let src = format!(
-            "{MINIMAL}\n[limits]\ndeadline = 90 s\nretries = 3\nbackoff = 10 ms\n\
-             inject_panic = dc:2:1\ninject_flaky = dc:4:1\n"
+            "{MINIMAL}\n[limits]\ndeadline = 90 s\nretries = 3\n\
+             inject_panic = dc:2:1\ninject_stall = dc:4:1\n"
         );
         let s = ScenarioSpec::parse(&src).unwrap();
         assert_eq!(s.limits.deadline, Some(SimDuration::from_secs(90)));
         assert_eq!(s.cell_deadline(), SimDuration::from_secs(90));
-        assert_eq!(s.limits.retries, 3);
-        assert_eq!(s.limits.backoff, SimDuration::from_millis(10));
         assert_eq!(s.limits.injection_for("dc", 2, 1), Some(InjectFault::Panic));
-        assert_eq!(s.limits.injection_for("dc", 4, 1), Some(InjectFault::Flaky));
+        assert_eq!(s.limits.injection_for("dc", 4, 1), Some(InjectFault::Stall));
         assert_eq!(s.limits.injection_for("dc", 8, 1), None);
     }
 }

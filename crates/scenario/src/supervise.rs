@@ -39,12 +39,6 @@ pub enum CellError {
         /// The rendered simulator error.
         msg: String,
     },
-    /// A retried success did not match a clean verification re-run —
-    /// the cell's result depends on something other than its inputs.
-    NonDeterministic {
-        /// What differed.
-        msg: String,
-    },
 }
 
 impl CellError {
@@ -55,16 +49,15 @@ impl CellError {
             CellError::Panicked { .. } => "panicked",
             CellError::DeadlineExceeded { .. } => "deadline",
             CellError::Failed { .. } => "failed",
-            CellError::NonDeterministic { .. } => "non_deterministic",
         }
     }
 
     /// Whether hitting this error again is guaranteed on re-execution.
     /// Deterministic failures are replayed from the journal on resume;
-    /// a deadline miss depends on machine speed, so it is always
-    /// retried by a fresh run.
+    /// a deadline miss depends on machine speed, so the next run
+    /// executes the cell again.
     pub fn is_deterministic(&self) -> bool {
-        !matches!(self, CellError::DeadlineExceeded { .. })
+        Self::kind_is_deterministic(self.kind())
     }
 
     /// Whether `kind` (as recorded in a journal) names a deterministic
@@ -72,7 +65,7 @@ impl CellError {
     ///
     /// [`is_deterministic`]: CellError::is_deterministic
     pub fn kind_is_deterministic(kind: &str) -> bool {
-        matches!(kind, "panicked" | "failed" | "non_deterministic")
+        matches!(kind, "panicked" | "failed")
     }
 }
 
@@ -84,9 +77,6 @@ impl std::fmt::Display for CellError {
                 write!(f, "exceeded the {deadline} wall-clock deadline")
             }
             CellError::Failed { msg } => write!(f, "{msg}"),
-            CellError::NonDeterministic { msg } => {
-                write!(f, "non-deterministic result: {msg}")
-            }
         }
     }
 }
@@ -191,19 +181,17 @@ mod tests {
     #[test]
     fn kinds_round_trip_and_classify() {
         let errors = [
-            CellError::Panicked { msg: "boom".into() },
-            CellError::DeadlineExceeded {
-                deadline: SimDuration::from_secs(30),
-            },
-            CellError::Failed { msg: "sim".into() },
-            CellError::NonDeterministic { msg: "diff".into() },
+            (CellError::Panicked { msg: "boom".into() }, true),
+            (
+                CellError::DeadlineExceeded {
+                    deadline: SimDuration::from_secs(30),
+                },
+                false,
+            ),
+            (CellError::Failed { msg: "sim".into() }, true),
         ];
-        for e in &errors {
-            assert_eq!(
-                CellError::kind_is_deterministic(e.kind()),
-                e.is_deterministic(),
-                "{e}"
-            );
+        for (e, deterministic) in &errors {
+            assert_eq!(e.is_deterministic(), *deterministic, "{e}");
         }
         // Unknown journal tokens are conservatively non-deterministic
         // (re-run rather than replay).

@@ -340,7 +340,6 @@ mod tests {
             marking: "dctcp".into(),
             flows: 8,
             seed: 1,
-            attempts: 2,
             kind: "panicked".into(),
             msg: "boom".into(),
         });

@@ -194,6 +194,16 @@ fn repro_rejects_bad_scenarios_with_line_numbers() {
     assert!(stderr.contains("line 12"), "{stderr}");
     assert!(stderr.contains("fortnights"), "{stderr}");
 
+    // Each cell runs once; there is no retry budget to raise.
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_repro"),
+        &["--retries", "1", "--all", "scenarios"],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag `--retries`"), "{stderr}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -228,7 +238,6 @@ k = 22 pkts
 
 [limits]
 deadline = 2 s
-retries = 0
 inject_panic = boom:2:1
 inject_stall = wedge:2:1
 
@@ -286,12 +295,11 @@ fn broken_cells_quarantine_into_a_partial_run() {
     assert!(stderr.contains("SKIP lossless"), "{stderr}");
     assert!(stderr.contains("0 violation(s), 1 skipped"), "{stderr}");
 
-    // A matrix with *no* surviving cell exits 4, not 3. With
-    // `retries = 0` even the flaky (first-attempt-only) fault is fatal.
-    let dead = PARTIAL_SCN.replace(
-        "inject_panic = boom:2:1",
-        "inject_panic = boom:2:1\ninject_flaky = dctcp:2:1",
-    );
+    // A matrix with *no* surviving cell exits 4, not 3: drop the
+    // healthy marking and point its envelope at a broken one.
+    let dead = PARTIAL_SCN
+        .replace("[marking \"dctcp\"]\nscheme = dctcp\nk = 20 pkts\n\n", "")
+        .replace("marking = dctcp", "marking = boom");
     std::fs::write(scn.join("cli_partial.scn"), dead).unwrap();
     let out = run_bin(
         env!("CARGO_BIN_EXE_repro"),

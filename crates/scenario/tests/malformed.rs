@@ -276,7 +276,9 @@ const CORPUS: &[(&str, &str, &str, &str)] = &[
     (LONG, "", "\n[limits]\ninject_panic = dc:2\n", "line 24: bad value for `inject_panic`: expected `marking:flows:seed`, got `dc:2`"),
     (LONG, "", "\n[limits]\ninject_panic = nosuch:2:1\n", "line 24: bad value for `inject_panic`: no [marking \"nosuch\"] section in this scenario"),
     (LONG, "", "\n[limits]\ninject_stall = dc:two:1\n", "line 24: bad value for `inject_stall`: bad flow count `two`"),
-    (LONG, "", "\n[limits]\ninject_flaky = dc:3:1\n", "line 24: bad value for `inject_flaky`: flow count 3 is not in the sweep"),
+    (LONG, "", "\n[limits]\ninject_flaky = dc:3:1\n", "line 24: unknown key `inject_flaky` in [limits]"),
+    (LONG, "", "\n[limits]\nbackoff = 10 ms\n", "line 24: unknown key `backoff` in [limits]"),
+    (LONG, "", "\n[limits]\ninject_panic = dc:3:1\n", "line 24: bad value for `inject_panic`: flow count 3 is not in the sweep"),
     (LONG, "", "\n[limits]\ninject_panic = dc:2:x\n", "line 24: bad value for `inject_panic`: bad seed `x`"),
     (LONG, "", "\n[limits]\ninject_panic = dc:2:7\n", "line 24: bad value for `inject_panic`: seed 7 is not in the seed list"),
     // [expect "…"]

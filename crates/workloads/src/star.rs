@@ -113,32 +113,19 @@ impl LongLivedScenario {
     /// Runs the scenario to completion and reports post-warmup
     /// statistics.
     pub fn run(&self) -> LongLivedReport {
-        self.run_with_faults(|_| FaultPlan::new())
+        self.run_supervised(None, |_| FaultPlan::new())
             .expect("fault-free scenario")
     }
 
     /// Runs the scenario with a scripted fault plan installed before
-    /// the clock starts. The builder receives the instantiated
-    /// topology so plans can reference its links (typically
-    /// [`LongLivedInstance::bottleneck`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if instantiation, fault installation or the
-    /// run itself fails.
-    pub fn run_with_faults(
-        &self,
-        plan: impl FnOnce(&LongLivedInstance) -> FaultPlan,
-    ) -> Result<LongLivedReport, SimError> {
-        self.run_supervised(None, plan)
-    }
-
-    /// [`LongLivedScenario::run_with_faults`] under an optional
-    /// [`CancelToken`](dctcp_sim::CancelToken): a supervisor that fires
-    /// the token (e.g. a wall-clock watchdog) stops the run with
-    /// [`SimError::Cancelled`](SimError) at the next event-loop poll. An
-    /// unfired token leaves the run bit-identical to an unsupervised
-    /// one.
+    /// the clock starts, under an optional
+    /// [`CancelToken`](dctcp_sim::CancelToken). The plan builder
+    /// receives the instantiated topology so plans can reference its
+    /// links (typically [`LongLivedInstance::bottleneck`]). A
+    /// supervisor that fires the token (e.g. a wall-clock watchdog)
+    /// stops the run with [`SimError::Cancelled`](SimError) at the next
+    /// event-loop poll. An unfired token leaves the run bit-identical
+    /// to an unsupervised one.
     ///
     /// # Errors
     ///
@@ -414,7 +401,7 @@ mod tests {
         // One 10 ms outage of the bottleneck inside the 10..40 ms
         // measurement window.
         let faulted = scenario
-            .run_with_faults(|i| {
+            .run_supervised(None, |i| {
                 FaultPlan::new().flap(
                     i.bottleneck,
                     SimTime::ZERO + SimDuration::from_millis(15),
