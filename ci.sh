@@ -308,8 +308,9 @@ echo "==> fct-parity gate (threads x shards byte-identity on the churn scenario)
 # half of the claim: the streaming FCT sketches must merge to
 # byte-identical artifacts no matter how the run is laid out — across
 # repro worker threads (whole cells in parallel) and across intra-run
-# engine shards (one cell split across workers). Every run is cold so
-# each cell actually simulates under the requested layout. A
+# engine shards (each rack's simulation split across shards). Every
+# run is cold so each cell actually simulates under the requested
+# layout. A
 # quarantine (exit 3) of this committed scenario is a hard failure,
 # named explicitly so the uploaded artifact can be found; any other
 # nonzero exit fails too.

@@ -3,7 +3,7 @@
 //! every rack bottleneck takes the long-lived dumbbell's parameters.
 
 use dctcp_cache::KeyBuilder;
-use dctcp_sim::{CancelToken, FaultPlan, SimDuration, SimError};
+use dctcp_sim::{CancelToken, SimDuration, SimError};
 use dctcp_workloads::FctScenario;
 
 use super::{KindSpec, ScenarioKind};
@@ -219,9 +219,7 @@ pub(super) fn run_cell(
     if let Some(slack) = w.deadline_slack {
         builder = builder.deadline_slack(slack);
     }
-    let report = builder
-        .build()?
-        .run_supervised(cancel, |_| FaultPlan::new())?;
+    let report = builder.build()?.run(cancel)?;
 
     // An empty size class renders its quantiles as 0 rather than
     // omitting the row — artifacts always carry the kind's full metric

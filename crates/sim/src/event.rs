@@ -11,7 +11,11 @@
 //!   covering [`BUCKET_WIDTH_NS`] nanoseconds, spanning a sliding window
 //!   of ~1 ms ahead of the cursor. Scheduling is O(1) (append to the
 //!   deadline's bucket); popping scans an occupancy bitmap to the next
-//!   non-empty bucket and selects its earliest `(at, prio, seq)` entry.
+//!   non-empty bucket. The first pop from a bucket sorts it once,
+//!   latest `(at, prio, seq)` first, and every pop then takes its tail,
+//!   so draining a bucket of `B` events costs O(B log B), not the
+//!   O(B²) of a min-scan per pop. Until the cursor moves on, schedules
+//!   into that one bucket insert in order; every other bucket appends.
 //!   Because the window is exactly one wheel revolution, a bucket never
 //!   mixes events from different laps.
 //! * **Level 1 — sorted overflow.** Deadlines beyond the window go to a
@@ -61,7 +65,7 @@
 //! timers per ACK) do not drag dead entries through the overflow heap,
 //! the migration path and the wheel before finally discarding them.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -192,6 +196,9 @@ pub(crate) struct EventQueue {
     /// Level 0: the timer wheel. All entries in bucket `i & mask` share
     /// the absolute bucket index `i ∈ [cursor, cursor + NUM_BUCKETS)`.
     wheel: Vec<Vec<ScheduledEvent>>,
+    /// The bucket the cursor is draining, kept sorted latest-first so
+    /// its earliest entry is the tail. Only this bucket is ordered.
+    sorted_slot: Option<usize>,
     /// One occupancy bit per bucket, so the pop path skips empty
     /// stretches with `trailing_zeros` instead of probing each bucket.
     occupied: [u64; BITMAP_WORDS],
@@ -233,6 +240,7 @@ impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
             wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            sorted_slot: None,
             occupied: [0; BITMAP_WORDS],
             cursor: 0,
             wheel_len: 0,
@@ -346,6 +354,7 @@ impl EventQueue {
                 continue;
             }
             let before = bucket.len();
+            // `retain` keeps order, so the sorted bucket stays sorted.
             bucket.retain(|e| !is_dead(e));
             removed += before - bucket.len();
             if bucket.is_empty() {
@@ -373,7 +382,13 @@ impl EventQueue {
         let idx = (ev.at.as_nanos() >> WIDTH_SHIFT).max(self.cursor);
         if idx < self.cursor + NUM_BUCKETS as u64 {
             let slot = (idx as usize) & (NUM_BUCKETS - 1);
-            self.wheel[slot].push(ev);
+            let bucket = &mut self.wheel[slot];
+            if self.sorted_slot == Some(slot) {
+                let pos = bucket.partition_point(|e| e.key() > ev.key());
+                bucket.insert(pos, ev);
+            } else {
+                bucket.push(ev);
+            }
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
             self.wheel_len += 1;
         } else {
@@ -482,12 +497,16 @@ impl EventQueue {
                 self.migrate_overflow();
             }
             let bucket = &mut self.wheel[slot];
-            debug_assert!(!bucket.is_empty());
-            let best = Self::bucket_min(bucket);
-            if bucket[best].at > until {
+            if self.sorted_slot != Some(slot) {
+                // Keys are unique (`seq` is origin ‖ counter), so an
+                // unstable sort is deterministic.
+                bucket.sort_unstable_by_key(|e| Reverse(e.key()));
+                self.sorted_slot = Some(slot);
+            }
+            if bucket.last().expect("occupied bucket").at > until {
                 return None;
             }
-            let ev = bucket.swap_remove(best);
+            let ev = bucket.pop().expect("occupied bucket");
             if bucket.is_empty() {
                 self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
             }
@@ -797,12 +816,21 @@ mod tests {
         }
 
         fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-            while let Some(e) = self.heap.pop() {
-                if let EventKind::Timer { token, .. } = &e.kind {
-                    if self.cancelled.remove(token) {
+            self.pop_before(SimTime::from_nanos(u64::MAX))
+        }
+
+        fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, EventKind)> {
+            while let Some(head) = self.heap.peek() {
+                if let EventKind::Timer { token, .. } = head.kind {
+                    if self.cancelled.remove(&token) {
+                        self.heap.pop();
                         continue;
                     }
                 }
+                if head.at > until {
+                    return None;
+                }
+                let e = self.heap.pop()?;
                 return Some((e.at, e.kind));
             }
             None
@@ -874,6 +902,158 @@ mod tests {
                 }
             }
             assert!(popped > 100, "degenerate interleaving (seed {seed})");
+        }
+    }
+
+    /// The calendar queue and the reference heap driven in lockstep by
+    /// a simulated clock, counting which hot-bucket paths a run took.
+    #[derive(Default)]
+    struct HotBucket {
+        cal: EventQueue,
+        oracle: ReferenceQueue,
+        clock: u64,
+        next_token: u64,
+        armed: Vec<u64>,
+        /// Inserts into the sorted bucket ahead of / behind its minimum.
+        before_min: usize,
+        after_min: usize,
+        /// Compaction sweeps that ran while a sorted bucket held entries.
+        sorted_compactions: usize,
+        /// `pop_before` horizons that stopped inside the sorted bucket.
+        mid_bucket_stops: usize,
+    }
+
+    fn slot_of(at: u64) -> usize {
+        ((at >> WIDTH_SHIFT) as usize) & (NUM_BUCKETS - 1)
+    }
+
+    impl HotBucket {
+        /// Absolute end of the bucket holding the clock.
+        fn bucket_end(&self) -> u64 {
+            ((self.clock >> WIDTH_SHIFT) + 1) << WIDTH_SHIFT
+        }
+
+        fn sorted_live(&self) -> Option<&Vec<ScheduledEvent>> {
+            self.cal
+                .sorted_slot
+                .map(|s| &self.cal.wheel[s])
+                .filter(|b| !b.is_empty())
+        }
+
+        fn schedule(&mut self, at: u64) {
+            let slot = slot_of(at);
+            if self.cal.sorted_slot == Some(slot) {
+                if let Some(min) = self.cal.wheel[slot].last() {
+                    // The new key's (prio, seq) tail is the largest yet,
+                    // so only `at` can put it ahead of the minimum.
+                    if at < min.at.as_nanos() {
+                        self.before_min += 1;
+                    } else {
+                        self.after_min += 1;
+                    }
+                }
+            }
+            let token = self.next_token;
+            self.next_token += 1;
+            self.armed.push(token);
+            let at = SimTime::from_nanos(at);
+            self.cal
+                .schedule(at, SimTime::from_nanos(self.clock), 0, timer(0, token));
+            self.oracle.schedule(at, timer(0, token));
+        }
+
+        fn cancel(&mut self, token: u64) {
+            let sorted = self.sorted_live().is_some();
+            let before = self.cal.len();
+            self.cal.cancel_timer(TimerToken(token));
+            self.oracle.cancel_timer(TimerToken(token));
+            if sorted && self.cal.len() < before {
+                self.sorted_compactions += 1;
+            }
+        }
+
+        /// Pops up to `n` events at or before `until`, checking each
+        /// against the reference; returns how many it popped.
+        fn pop_before(&mut self, until: u64, n: usize) -> usize {
+            let until = SimTime::from_nanos(until);
+            for i in 0..n {
+                let a = self.cal.pop_before(until).map(|(at, _, _, k)| (at, k));
+                let b = self.oracle.pop_before(until);
+                assert_eq!(a, b, "divergence at clock {}", self.clock);
+                match a {
+                    Some((at, _)) => self.clock = at.as_nanos(),
+                    None => return i,
+                }
+            }
+            n
+        }
+    }
+
+    /// Seeded differential test aimed at the bucket being drained:
+    /// bursts of 50–200 schedules land in it and the next few buckets,
+    /// ahead of and behind its current minimum, cancellation bursts
+    /// compact the queue while it is sorted, and `pop_before` horizons
+    /// stop inside it before more events arrive there. Every pop must
+    /// match the reference heap.
+    #[test]
+    fn hot_bucket_drain_matches_reference_heap() {
+        const WIDTH: u64 = 1 << WIDTH_SHIFT;
+        for seed in 1..=8u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut h = HotBucket::default();
+            for round in 0..200 {
+                let burst = 50 + rng.next_u64() % 151;
+                for _ in 0..burst {
+                    let at = match rng.next_u64() % 4 {
+                        // Now, or anywhere in the bucket being drained.
+                        0 => h.clock,
+                        1 => h.clock + rng.next_u64() % (h.bucket_end() - h.clock),
+                        // One of the next four buckets.
+                        _ => h.bucket_end() + rng.next_u64() % (4 * WIDTH),
+                    };
+                    h.schedule(at);
+                }
+                // Drain part of the burst, leaving the bucket sorted.
+                let n = rng.next_u64() % 250;
+                h.pop_before(u64::MAX, n as usize);
+                if round % 10 == 9 {
+                    // A cancellation burst over the newest timers, large
+                    // enough to trip compaction.
+                    let burst = (2 * COMPACT_MIN).max(2 * h.cal.len());
+                    let from = h.armed.len().saturating_sub(burst);
+                    for t in h.armed.split_off(from) {
+                        h.cancel(t);
+                    }
+                }
+                if round % 3 == 2 && h.sorted_live().is_some() {
+                    // Stop inside the bucket being drained, then schedule
+                    // into the rest of it.
+                    let until = h.clock + rng.next_u64() % (h.bucket_end() - h.clock);
+                    h.pop_before(until, usize::MAX);
+                    if h.sorted_live().is_some() && h.cal.sorted_slot == Some(slot_of(until)) {
+                        h.mid_bucket_stops += 1;
+                    }
+                    h.clock = h.clock.max(until);
+                    for _ in 0..20 {
+                        let at = h.clock + rng.next_u64() % (h.bucket_end() - h.clock);
+                        h.schedule(at);
+                    }
+                }
+            }
+            h.pop_before(u64::MAX, usize::MAX);
+            assert!(h.cal.is_empty(), "seed {seed}: calendar queue not drained");
+            assert!(
+                h.before_min > 0
+                    && h.after_min > 0
+                    && h.sorted_compactions > 0
+                    && h.mid_bucket_stops > 0,
+                "seed {seed}: a hot-bucket path went unexercised \
+                 ({} before min, {} after min, {} compactions, {} stops)",
+                h.before_min,
+                h.after_min,
+                h.sorted_compactions,
+                h.mid_bucket_stops
+            );
         }
     }
 

@@ -4,14 +4,20 @@
 //!
 //! Topology (per rack): `sources_per_rack` churn sources feed a rack
 //! switch whose link to the rack sink is the bottleneck (marking scheme
-//! under test). Rack switches are chained by idle high-delay trunks so
-//! the shard partitioner can split racks across threads — results stay
-//! bit-identical at any shard count because all churn state is
-//! host-local and sketches merge order-invariantly.
+//! under test). The racks share nothing, so [`FctScenario::run`]
+//! simulates them one at a time, each with its original origins, and
+//! merges the per-source results in rack-major order — the same report
+//! the joined network gives. [`FctScenario::instantiate`] still builds
+//! the joined network, its rack switches chained by idle high-delay
+//! trunks so the shard partitioner can split racks across threads;
+//! results stay bit-identical at any shard count because all churn
+//! state is host-local.
+
+use std::ops::Range;
 
 use dctcp_core::MarkingScheme;
 use dctcp_sim::{
-    Capacity, FaultPlan, LinkId, LinkSpec, NodeId, QueueConfig, ShardedSimulator, SimDuration,
+    CancelToken, Capacity, LinkId, LinkSpec, NodeId, QueueConfig, ShardedSimulator, SimDuration,
     SimError, SimTime, TopologyBuilder,
 };
 use dctcp_stats::QuantileSketch;
@@ -179,7 +185,7 @@ impl FctScenario {
     /// Returns [`SimError`] if topology construction or agent
     /// configuration fails.
     pub fn instantiate(&self) -> Result<FctInstance, SimError> {
-        self.instantiate_inner(None)
+        self.instantiate_inner(0..self.racks, None)
     }
 
     /// [`FctScenario::instantiate`] with an explicit shard target
@@ -190,10 +196,16 @@ impl FctScenario {
     /// Returns [`SimError`] if topology construction or agent
     /// configuration fails.
     pub fn instantiate_with_shards(&self, target: usize) -> Result<FctInstance, SimError> {
-        self.instantiate_inner(Some(target))
+        self.instantiate_inner(0..self.racks, Some(target))
     }
 
-    fn instantiate_inner(&self, shards: Option<usize>) -> Result<FctInstance, SimError> {
+    /// Builds the given racks, each with the node names and churn
+    /// origins it has in the full network.
+    fn instantiate_inner(
+        &self,
+        racks: Range<u32>,
+        shards: Option<usize>,
+    ) -> Result<FctInstance, SimError> {
         let mut b = TopologyBuilder::new();
         let hop = self.rtt / 4;
         let spec = LinkSpec {
@@ -207,11 +219,12 @@ impl FctScenario {
             base_rtt: self.rtt,
         });
 
-        let mut sources = Vec::with_capacity((self.racks * self.sources_per_rack) as usize);
-        let mut sinks = Vec::with_capacity(self.racks as usize);
-        let mut switches = Vec::with_capacity(self.racks as usize);
-        let mut bottlenecks = Vec::with_capacity(self.racks as usize);
-        for r in 0..self.racks {
+        let n = racks.len();
+        let mut sources = Vec::with_capacity(n * self.sources_per_rack as usize);
+        let mut sinks = Vec::with_capacity(n);
+        let mut switches = Vec::with_capacity(n);
+        let mut bottlenecks = Vec::with_capacity(n);
+        for r in racks {
             let sw = b.switch(format!("rack{r}"));
             let sink = b.host(
                 format!("sink{r}"),
@@ -256,6 +269,8 @@ impl FctScenario {
             let bottleneck = b.link(sw, sink, spec, qcfg, QueueConfig::host_nic())?;
             // Chain rack switches with an idle, high-latency trunk so the
             // graph stays connected but shards can cut between racks.
+            // Only the joined network (the benchmark and the shard path)
+            // has trunks; deleting intra-run sharding deletes them.
             if let Some(&prev) = switches.last() {
                 b.link(
                     prev,
@@ -286,33 +301,21 @@ impl FctScenario {
         })
     }
 
-    /// Runs the scenario to completion and merges per-source results.
+    /// Runs the scenario to completion, one rack at a time, under an
+    /// optional cancel token shared by every rack. Each rack is its own
+    /// one-rack simulation with its original origins, so the report
+    /// equals [`FctScenario::run_instance`] on the joined network.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if instantiation or the run fails.
-    pub fn run(&self) -> Result<FctReport, SimError> {
-        self.run_supervised(None, |_| FaultPlan::new())
-    }
-
-    /// [`FctScenario::run`] under an optional cancel token and fault
-    /// plan (mirrors
-    /// [`LongLivedScenario::run_supervised`](crate::LongLivedScenario::run_supervised)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if instantiation, fault installation or the
-    /// run fails, including `Cancelled` for a fired token.
-    pub fn run_supervised(
-        &self,
-        cancel: Option<dctcp_sim::CancelToken>,
-        plan: impl FnOnce(&FctInstance) -> FaultPlan,
-    ) -> Result<FctReport, SimError> {
-        let mut instance = self.instantiate()?;
-        instance.sim.set_cancel_token(cancel);
-        let faults = plan(&instance);
-        instance.sim.install_faults(&faults)?;
-        self.run_instance(instance)
+    /// Returns [`SimError`] if instantiation or a run fails, including
+    /// `Cancelled` for a fired token.
+    pub fn run(&self, cancel: Option<CancelToken>) -> Result<FctReport, SimError> {
+        self.merge_runs((0..self.racks).map(|r| {
+            let mut instance = self.instantiate_inner(r..r + 1, None)?;
+            instance.sim.set_cancel_token(cancel.clone());
+            Ok(instance)
+        }))
     }
 
     /// Runs an already-instantiated scenario (e.g. one built with
@@ -323,15 +326,16 @@ impl FctScenario {
     /// Returns [`SimError`] if the run fails or a source reports
     /// flow-table misuse.
     pub fn run_instance(&self, instance: FctInstance) -> Result<FctReport, SimError> {
-        let FctInstance {
-            mut sim,
-            sources,
-            sinks,
-            ..
-        } = instance;
+        self.merge_runs([Ok(instance)])
+    }
 
-        sim.run_for(self.warmup + self.duration + self.drain)?;
-
+    /// Runs each instance in turn and folds its sources, in order, into
+    /// one report: counters summed, peaks maxed, sketches merged, and
+    /// goodput computed once from the total measured bytes.
+    fn merge_runs(
+        &self,
+        instances: impl IntoIterator<Item = Result<FctInstance, SimError>>,
+    ) -> Result<FctReport, SimError> {
         let mut report = FctReport {
             sketches: std::array::from_fn(|_| QuantileSketch::new()),
             arrivals: 0,
@@ -348,37 +352,47 @@ impl FctScenario {
             slots_high_water: 0,
             stale_events: 0,
             recycled_receivers: 0,
-            events: sim.events_processed(),
+            events: 0,
         };
-        for &h in &sources {
-            let src: &ChurnSource = sim.agent(h)?;
-            if let Some(e) = src.table_errors().first() {
-                return Err(SimError::InvalidTopology(format!(
-                    "flow-table misuse on {}: {e}",
-                    sim.node_name(h)
-                )));
+        for instance in instances {
+            let FctInstance {
+                mut sim,
+                sources,
+                sinks,
+                ..
+            } = instance?;
+            sim.run_for(self.warmup + self.duration + self.drain)?;
+            report.events += sim.events_processed();
+            for &h in &sources {
+                let src: &ChurnSource = sim.agent(h)?;
+                if let Some(e) = src.table_errors().first() {
+                    return Err(SimError::InvalidTopology(format!(
+                        "flow-table misuse on {}: {e}",
+                        sim.node_name(h)
+                    )));
+                }
+                let s = src.stats();
+                report.arrivals += s.arrivals;
+                report.started += s.started;
+                report.completed += s.completed;
+                report.aborted += s.aborted;
+                report.measured_completed += s.measured_completed;
+                report.measured_bytes += s.measured_bytes;
+                report.deadline_flows += s.deadline_flows;
+                report.deadline_missed += s.deadline_missed;
+                report.timeouts += s.timeouts;
+                report.backlog_peak = report.backlog_peak.max(s.backlog_peak);
+                report.slots_high_water = report.slots_high_water.max(src.slots_high_water());
+                report.stale_events += s.stale_acks + s.stale_timers;
+                for (into, sketch) in report.sketches.iter_mut().zip(src.sketches()) {
+                    into.merge(sketch);
+                }
             }
-            let s = src.stats();
-            report.arrivals += s.arrivals;
-            report.started += s.started;
-            report.completed += s.completed;
-            report.aborted += s.aborted;
-            report.measured_completed += s.measured_completed;
-            report.measured_bytes += s.measured_bytes;
-            report.deadline_flows += s.deadline_flows;
-            report.deadline_missed += s.deadline_missed;
-            report.timeouts += s.timeouts;
-            report.backlog_peak = report.backlog_peak.max(s.backlog_peak);
-            report.slots_high_water = report.slots_high_water.max(src.slots_high_water());
-            report.stale_events += s.stale_acks + s.stale_timers;
-            for (into, sketch) in report.sketches.iter_mut().zip(src.sketches()) {
-                into.merge(sketch);
+            for &h in &sinks {
+                let sink: &ChurnSink = sim.agent(h)?;
+                report.stale_events += sink.stats().stale_segments + sink.stats().stale_timers;
+                report.recycled_receivers += sink.stats().recycled;
             }
-        }
-        for &h in &sinks {
-            let sink: &ChurnSink = sim.agent(h)?;
-            report.stale_events += sink.stats().stale_segments + sink.stats().stale_timers;
-            report.recycled_receivers += sink.stats().recycled;
         }
         report.goodput_bps = report.measured_bytes as f64 * 8.0 / self.duration.as_secs_f64();
         Ok(report)
@@ -553,7 +567,7 @@ mod tests {
 
     #[test]
     fn fct_run_completes_and_reports_tails() {
-        let r = quick(MarkingScheme::dctcp_packets(40)).run().unwrap();
+        let r = quick(MarkingScheme::dctcp_packets(40)).run(None).unwrap();
         assert!(r.arrivals > 100, "arrivals {}", r.arrivals);
         assert_eq!(r.completed + r.aborted, r.started);
         assert_eq!(r.started, r.arrivals, "open loop admits everything");
@@ -585,6 +599,37 @@ mod tests {
         }
     }
 
+    /// The racks share nothing, so simulating them one at a time gives
+    /// the joined network's report: every counter, `events` included,
+    /// and every sketch bin.
+    #[test]
+    fn per_rack_runs_match_the_joined_network() {
+        for (racks, marking) in [
+            (2, MarkingScheme::dctcp_packets(40)),
+            (3, MarkingScheme::dt_dctcp_packets(20, 40)),
+        ] {
+            let s = FctScenario::builder()
+                .racks(racks)
+                .sources_per_rack(8)
+                .marking(marking)
+                .warmup_secs(0.005)
+                .duration_secs(0.03)
+                .drain_secs(0.015)
+                .build()
+                .unwrap();
+            let joined = s.run_instance(s.instantiate().unwrap()).unwrap();
+            let per_rack = s.run(None).unwrap();
+            assert!(joined.measured_completed > 0 && joined.events > 0);
+            for (a, b) in joined.sketches.iter().zip(&per_rack.sketches) {
+                assert_eq!(a.count(), b.count(), "racks = {racks}");
+                for q in [0.5, 0.99, 0.999] {
+                    assert_eq!(a.quantile(q), b.quantile(q), "racks = {racks}, q = {q}");
+                }
+            }
+            assert_eq!(joined, per_rack, "racks = {racks}");
+        }
+    }
+
     #[test]
     fn deadline_scenario_reports_miss_rate() {
         let r = FctScenario::builder()
@@ -600,7 +645,7 @@ mod tests {
             .drain_secs(0.05)
             .build()
             .unwrap()
-            .run()
+            .run(None)
             .unwrap();
         assert!(r.deadline_flows > 0);
         assert_eq!(r.deadline_flows, r.measured_completed);
