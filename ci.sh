@@ -4,10 +4,11 @@
 #
 # Tiers:
 #   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
-#                 model tests + benchmark compile check (the frozen
-#                 benchmark must still build against the workspace's
-#                 public API) + rustdoc with warnings denied (the PR
-#                 gate: minutes, catches most breakage)
+#                 model tests + engine and transport unit tests
+#                 (dctcp-sim, dctcp-tcp) + benchmark compile check
+#                 (the frozen benchmark must still build against the
+#                 workspace's public API) + rustdoc with warnings
+#                 denied (the PR gate: minutes, catches most breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + trace-oracle
 #                 smoke + scenario-matrix gate (run cold, then warm
@@ -55,6 +56,12 @@ echo "==> cargo test (fluid model unit + property tests)"
 # full test suite (equilibrium fixed points, step-response determinism,
 # damping ordering) is cheap enough for the PR gate.
 cargo test --offline -q -p dctcp-fluid
+
+echo "==> cargo test (engine + transport unit tests)"
+# The calendar-queue differential and hot-bucket tests, the port-ring
+# tests and the churn agents' tests live in these crates' lib targets;
+# under a second of test time, so they gate every PR.
+cargo test --offline -q -p dctcp-sim -p dctcp-tcp --lib
 
 echo "==> cargo check (benchmark against the workspace API)"
 # The benchmark is a separate package pinned to the public API it

@@ -104,12 +104,13 @@ pub struct FlowTable<T> {
 
 impl<T> FlowTable<T> {
     /// Creates an empty table that will hold at most `capacity` live
-    /// flows. Slot storage grows to the high-water mark once and is
-    /// never reallocated afterwards.
+    /// flows. `capacity` is admission only: slot storage grows by
+    /// doubling to the high-water mark, not to `capacity`, and never
+    /// shrinks.
     pub fn with_capacity(capacity: u32) -> Self {
         FlowTable {
-            slots: Vec::with_capacity(capacity as usize),
-            free: Vec::with_capacity(capacity as usize),
+            slots: Vec::new(),
+            free: Vec::new(),
             capacity,
             live: 0,
             high_water: 0,
@@ -339,5 +340,18 @@ mod tests {
         for &(s, g) in &live {
             assert!(t.get(s, g).is_some());
         }
+    }
+
+    #[test]
+    fn storage_grows_to_high_water_not_capacity() {
+        let mut t: FlowTable<u64> = FlowTable::with_capacity(4096);
+        for _ in 0..100 {
+            let held: Vec<_> = (0..5).map(|_| t.acquire(|| 0).unwrap()).collect();
+            for (s, g) in held {
+                t.release(s, g).unwrap();
+            }
+        }
+        assert_eq!(t.high_water(), 5);
+        assert!(t.slots.capacity() < 10 && t.free.capacity() < 10);
     }
 }

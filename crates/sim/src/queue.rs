@@ -331,6 +331,8 @@ pub struct OutputQueue {
     /// (offer/pop) only streams `Packet`s, while the enqueue instants —
     /// touched once per packet for sojourn-based AQM — live in their own
     /// dense ring. Both rings always have identical length and order.
+    /// They grow by doubling to cover the most the port has held and
+    /// never shrink, so after warm-up a port runs allocation-free.
     pkts: VecDeque<Packet>,
     /// Enqueue instant of each queued packet, parallel to `pkts`.
     enq_at: VecDeque<SimTime>,
@@ -377,18 +379,13 @@ impl OutputQueue {
             Some(p) => Some(Codel::new(p)?),
             None => None,
         };
-        // Pre-size the buffer to the configured limit (or a generous
-        // default for unbounded host queues) so steady-state traffic
-        // never reallocates mid-run.
-        let presize = match config.capacity {
-            Capacity::Packets(n) => n as usize + 1,
-            // Worst case is minimum-size (header-only) packets.
-            Capacity::Bytes(b) => (b / 40 + 1).min(4096) as usize,
-            Capacity::Unbounded => 256,
-        };
+        // The rings start empty rather than sized to `capacity`: a FIFO
+        // walks its head round its whole allocation, so a ring sized to
+        // the buffer limit would keep all of it resident while the
+        // queue itself stays tens of packets deep.
         Ok(OutputQueue {
-            pkts: VecDeque::with_capacity(presize),
-            enq_at: VecDeque::with_capacity(presize),
+            pkts: VecDeque::new(),
+            enq_at: VecDeque::new(),
             len_bytes: 0,
             capacity: config.capacity,
             policy: config.scheme.build()?,
@@ -1135,5 +1132,145 @@ mod tests {
         // Arrival at occupancy 5 (>= K1) on the falling phase: unmarked.
         q.offer(t(2), pkt(100));
         assert_eq!(q.counters().marked, 5);
+    }
+
+    /// CoDel in drop mode: condemned head packets leave through `pop`.
+    fn codel_drop() -> QueueConfig {
+        let params = CodelParams {
+            ecn: false,
+            ..CodelParams::datacenter()
+        };
+        QueueConfig::switch(Capacity::Packets(1000), MarkingScheme::Codel { params })
+    }
+
+    /// Asserts the SoA lockstep: each queued packet sits beside its own
+    /// enqueue instant (`seq` is the microsecond it was offered at) and,
+    /// when `fifo`, in offer order.
+    fn assert_lockstep(q: &OutputQueue, fifo: bool) {
+        assert_eq!(q.pkts.len(), q.enq_at.len(), "rings out of lockstep");
+        for (p, &at) in q.pkts.iter().zip(&q.enq_at) {
+            assert_eq!(at, t(p.seq), "packet {} paired with {at:?}", p.seq);
+        }
+        if fifo {
+            let seqs: Vec<u64> = q.pkts.iter().map(|p| p.seq).collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "queue out of order");
+        }
+    }
+
+    /// Drives `q` through a steady phase that wraps the ring head, a
+    /// burst past the ring's capacity while it is wrapped, a slow
+    /// standing-queue drain and a final flush, checking the lockstep
+    /// after every operation. Returns the popped seqs and the count
+    /// offered.
+    fn drive_ring(q: &mut OutputQueue, fifo: bool) -> (Vec<u64>, u64) {
+        let mut clock = 0u64;
+        let mut offered = 0u64;
+        let mut popped = Vec::new();
+        let mut offer = |q: &mut OutputQueue, clock: &mut u64| {
+            *clock += 1;
+            let mut p = pkt(1460);
+            p.seq = *clock;
+            q.offer(t(*clock), p);
+            offered += 1;
+            assert_lockstep(q, fifo);
+        };
+        let pop = |q: &mut OutputQueue, clock: u64, popped: &mut Vec<u64>| {
+            let now = t(clock);
+            let head = q.head_sojourn(now);
+            let drops = q.counters().dropped_aqm;
+            let p = q.pop(now);
+            if q.counters().dropped_aqm == drops {
+                // No head drop: the departing packet is the one whose
+                // sojourn the queue reported.
+                let own = p.as_ref().map(|p| now.saturating_duration_since(t(p.seq)));
+                assert_eq!(head, own);
+            }
+            popped.extend(p.map(|p| p.seq));
+            assert_lockstep(q, fifo);
+        };
+        for _ in 0..3 {
+            offer(q, &mut clock);
+        }
+        // One in, one out: the head walks round a ring that stops growing.
+        let mut rounds = 0;
+        while rounds < 40 || q.pkts.as_slices().1.is_empty() {
+            offer(q, &mut clock);
+            pop(q, clock, &mut popped);
+            rounds += 1;
+            assert!(rounds < 1_000, "ring head never wrapped");
+        }
+        let wrapped_cap = q.pkts.capacity();
+        for _ in 0..300 {
+            offer(q, &mut clock);
+        }
+        assert!(
+            q.pkts.capacity() > wrapped_cap,
+            "burst did not grow the ring"
+        );
+        for i in 0..600 {
+            clock += 10;
+            pop(q, clock, &mut popped);
+            if i % 2 == 0 {
+                offer(q, &mut clock);
+            }
+        }
+        while !q.is_empty() {
+            clock += 10;
+            pop(q, clock, &mut popped);
+        }
+        (popped, offered)
+    }
+
+    #[test]
+    fn ring_growth_keeps_fifo_and_sojourn_pairing() {
+        let reorder_codel = codel_drop().with_reorder(4, 0.3, 9).unwrap();
+        for (cfg, fifo) in [
+            (QueueConfig::host_nic(), true),
+            (codel_drop(), true),
+            (reorder_codel, false),
+        ] {
+            let mut q = OutputQueue::new(&cfg).unwrap();
+            let (popped, offered) = drive_ring(&mut q, fifo);
+            let c = q.counters();
+            assert_eq!(c.dropped_overflow + c.dropped_random, 0);
+            assert_eq!(popped.len() as u64 + c.dropped_aqm, offered);
+            if cfg.scheme.codel_params().is_some() {
+                assert!(c.dropped_aqm > 0, "CoDel never dropped a head packet");
+            }
+            if !fifo {
+                assert!(popped.windows(2).any(|w| w[0] > w[1]), "nothing reordered");
+            }
+        }
+    }
+
+    #[test]
+    fn rings_grow_to_occupancy_not_to_the_buffer_limit() {
+        let switch = QueueConfig::switch(Capacity::Packets(1000), MarkingScheme::DropTail);
+        for cfg in [switch, QueueConfig::host_nic()] {
+            for k in [1usize, 3, 5, 17, 40] {
+                let mut q = OutputQueue::new(&cfg).unwrap();
+                let mut now = 0;
+                for round in 0..200 {
+                    // Fill to k (k - 1 on odd rounds), hold that depth
+                    // while the head walks, then drain.
+                    let fill = k - round % 2;
+                    for i in 0..fill + 5 {
+                        now += 1;
+                        if i >= fill {
+                            q.pop(t(now));
+                        }
+                        assert_eq!(q.offer(t(now), pkt(1460)), Offer::Enqueued);
+                    }
+                    while q.pop(t(now)).is_some() {}
+                }
+                let bound = 2 * k.max(4);
+                assert!(q.pkts.capacity() < bound, "k = {k}: {}", q.pkts.capacity());
+                assert!(
+                    q.enq_at.capacity() < bound,
+                    "k = {k}: {}",
+                    q.enq_at.capacity()
+                );
+            }
+        }
     }
 }

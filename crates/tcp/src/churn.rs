@@ -18,14 +18,13 @@
 //! PCG stream, so runs are bit-identical at any shard count.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 
 use dctcp_core::ParamError;
 use dctcp_rng::{Pcg32, SplitMix64};
 use dctcp_sim::{
-    Agent, Context, FlowId, FlowTable, FlowTableError, NodeId, Packet, PacketKind, SimDuration,
-    SimTime, TimerToken,
+    Agent, Context, FlowId, FlowTable, FlowTableError, IdMap, NodeId, Packet, PacketKind,
+    SimDuration, SimTime, TimerToken,
 };
 use dctcp_stats::QuantileSketch;
 use dctcp_trace::{TraceKind, TraceScope};
@@ -267,13 +266,13 @@ struct PendingFlow {
 /// Timer-routing [`Wire`] shared by both churn agents: armed timers are
 /// recorded under the flow's generation-tagged key so stale incarnations
 /// can be recognized when they fire.
-struct TaggedWire<'a, 'c, K: Copy + Eq + Hash> {
+struct TaggedWire<'a, 'c, K: Copy> {
     ctx: &'a mut Context<'c>,
-    timers: &'a mut HashMap<TimerToken, (K, TimerKind)>,
+    timers: &'a mut IdMap<TimerToken, (K, TimerKind)>,
     tag: K,
 }
 
-impl<K: Copy + Eq + Hash> Wire for TaggedWire<'_, '_, K> {
+impl<K: Copy> Wire for TaggedWire<'_, '_, K> {
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
@@ -313,7 +312,7 @@ pub struct ChurnSource {
     cfg: ChurnConfig,
     rng: Pcg32,
     table: FlowTable<ChurnFlow>,
-    timers: HashMap<TimerToken, ((u32, u32), TimerKind)>,
+    timers: IdMap<TimerToken, ((u32, u32), TimerKind)>,
     backlog: VecDeque<PendingFlow>,
     arrival_token: TimerToken,
     next_arrival: SimTime,
@@ -342,7 +341,7 @@ impl ChurnSource {
             cfg,
             rng,
             table: FlowTable::with_capacity(slots),
-            timers: HashMap::new(),
+            timers: IdMap::default(),
             backlog: VecDeque::new(),
             arrival_token: TimerToken::NONE,
             next_arrival: SimTime::ZERO,
@@ -638,8 +637,8 @@ struct RxSlot {
 #[derive(Debug)]
 pub struct ChurnSink {
     tcp: TcpConfig,
-    rx: HashMap<u64, RxSlot>,
-    timers: HashMap<TimerToken, ((u64, u32), TimerKind)>,
+    rx: IdMap<u64, RxSlot>,
+    timers: IdMap<TimerToken, ((u64, u32), TimerKind)>,
     /// Bytes delivered by receivers already recycled away.
     retired_bytes: u64,
     stats: ChurnSinkStats,
@@ -655,8 +654,8 @@ impl ChurnSink {
         tcp.validate()?;
         Ok(ChurnSink {
             tcp,
-            rx: HashMap::new(),
-            timers: HashMap::new(),
+            rx: IdMap::default(),
+            timers: IdMap::default(),
             retired_bytes: 0,
             stats: ChurnSinkStats::default(),
         })
