@@ -19,11 +19,9 @@
 #                 gate (DDE model vs packet anchors within committed
 #                 relative-error bands) + supervision gate (quarantine
 #                 exit codes, journal replay, kill -9 mid-matrix
-#                 resume) + shard-parity
-#                 gate (serial vs sharded engine must render
-#                 byte-identical artifacts) + fct-parity gate (the
-#                 million-flow churn scenario must render byte-identical
-#                 FCT artifacts across thread and shard layouts)
+#                 resume) + fct-parity gate (the million-flow churn
+#                 scenario must render byte-identical FCT artifacts at
+#                 1 and 2 repro threads)
 #                 (the merge gate: everything the repo can check)
 #   ci.sh         same as full
 set -eu
@@ -290,61 +288,36 @@ case "$RESUME_SUMMARY" in
 esac
 diff "$SUP_DIR/resume/fig05_oscillation.json" artifacts/repro/fig05_oscillation.json
 
-echo "==> shard-parity gate (serial vs sharded artifact diff)"
-# The intra-run sharded engine must be bit-identical to the serial
-# reference on real committed scenarios — a faulted dumbbell (scripted
-# faults included) and an ECMP'd fat-tree collective. Every run starts
-# without a cache so each cell actually simulates under the requested
-# DCTCP_SIM_SHARDS; the rendered artifacts must then diff clean byte
-# for byte across 1, 2 and 4 shards.
-PARITY_DIR="$(mktemp -d -t shard_parity.XXXXXX)"
-trap 'rm -rf "$REPRO_COLD" "$SUP_DIR" "$PARITY_DIR"' EXIT
-for PARITY_NAME in fault_recovery fattree_incast; do
-    for SHARDS in 1 2 4; do
-        DCTCP_SIM_SHARDS="$SHARDS" cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
-            --out "$PARITY_DIR/s$SHARDS" --no-cache "scenarios/$PARITY_NAME.scn"
-    done
-    diff "$PARITY_DIR/s1/$PARITY_NAME.json" "$PARITY_DIR/s2/$PARITY_NAME.json"
-    diff "$PARITY_DIR/s1/$PARITY_NAME.json" "$PARITY_DIR/s4/$PARITY_NAME.json"
-done
-
-echo "==> fct-parity gate (threads x shards byte-identity on the churn scenario)"
+echo "==> fct-parity gate (thread-count byte-identity on the churn scenario)"
 # The scenario-matrix gate above already ran fct_churn cold and warm
 # and validated its envelopes (a million completed flows per marking,
 # DT-DCTCP short-flow p99 below DCTCP's). This gate pins the other
 # half of the claim: the streaming FCT sketches must merge to
-# byte-identical artifacts no matter how the run is laid out — across
-# repro worker threads (whole cells in parallel) and across intra-run
-# engine shards (each rack's simulation split across shards). Every
-# run is cold so each cell actually simulates under the requested
-# layout. A
+# byte-identical artifacts whether repro runs the cells on one worker
+# thread or two. Every run is cold so each cell actually simulates. A
 # quarantine (exit 3) of this committed scenario is a hard failure,
 # named explicitly so the uploaded artifact can be found; any other
 # nonzero exit fails too.
 FCT_DIR="$(mktemp -d -t fct_parity.XXXXXX)"
-trap 'rm -rf "$REPRO_COLD" "$SUP_DIR" "$PARITY_DIR" "$FCT_DIR"' EXIT
-for LAYOUT in t2_s1 t1_s2 t2_s4; do
-    FCT_THREADS="${LAYOUT%_s*}"
-    FCT_THREADS="${FCT_THREADS#t}"
-    FCT_SHARDS="${LAYOUT#*_s}"
+trap 'rm -rf "$REPRO_COLD" "$SUP_DIR" "$FCT_DIR"' EXIT
+for FCT_THREADS in 2 1; do
     FCT_CODE=0
-    DCTCP_SIM_SHARDS="$FCT_SHARDS" cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
-        --out "$FCT_DIR/$LAYOUT" --no-cache --threads "$FCT_THREADS" \
+    cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
+        --out "$FCT_DIR/t$FCT_THREADS" --no-cache --threads "$FCT_THREADS" \
         scenarios/fct_churn.scn || FCT_CODE=$?
     if [ "$FCT_CODE" -eq 3 ]; then
-        echo "ci.sh: fct_churn quarantined a cell under $LAYOUT" >&2
-        echo "ci.sh: post-mortem artifact: $FCT_DIR/$LAYOUT/fct_churn.json" >&2
-        cp "$FCT_DIR/$LAYOUT/fct_churn.json" artifacts/fct_churn_quarantined.json 2>/dev/null || true
+        echo "ci.sh: fct_churn quarantined a cell at $FCT_THREADS thread(s)" >&2
+        echo "ci.sh: post-mortem artifact: $FCT_DIR/t$FCT_THREADS/fct_churn.json" >&2
+        cp "$FCT_DIR/t$FCT_THREADS/fct_churn.json" artifacts/fct_churn_quarantined.json 2>/dev/null || true
         exit 1
     elif [ "$FCT_CODE" -ne 0 ]; then
-        echo "ci.sh: fct_churn failed under $LAYOUT (exit $FCT_CODE)" >&2
+        echo "ci.sh: fct_churn failed at $FCT_THREADS thread(s) (exit $FCT_CODE)" >&2
         exit 1
     fi
 done
-diff "$FCT_DIR/t2_s1/fct_churn.json" "$FCT_DIR/t1_s2/fct_churn.json"
-diff "$FCT_DIR/t2_s1/fct_churn.json" "$FCT_DIR/t2_s4/fct_churn.json"
+diff "$FCT_DIR/t2/fct_churn.json" "$FCT_DIR/t1/fct_churn.json"
 # ... and the parity runs must match what the matrix gate rendered
 # under the default layout.
-diff "$FCT_DIR/t2_s1/fct_churn.json" artifacts/repro/fct_churn.json
+diff "$FCT_DIR/t2/fct_churn.json" artifacts/repro/fct_churn.json
 
 echo "CI full gate passed."

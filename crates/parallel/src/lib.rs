@@ -218,113 +218,6 @@ where
     par_map(items, threads, |i, item| run_isolated(|| f(i, item)))
 }
 
-/// Why a [`drive_windows`] run stopped early.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WindowError<E> {
-    /// A shard's step returned an error. The lowest shard index is
-    /// reported when several fail in the same window, so the outcome is
-    /// deterministic.
-    Job {
-        /// Index of the failing shard.
-        index: usize,
-        /// The shard's own error.
-        error: E,
-    },
-    /// A shard's step panicked. The panic is caught inside the worker so
-    /// every sibling still reaches the window barrier — a poisoned shard
-    /// can never deadlock the others.
-    Panic {
-        /// Index of the panicking shard.
-        index: usize,
-        /// The rendered panic payload.
-        panic: CaughtPanic,
-    },
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for WindowError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WindowError::Job { index, error } => write!(f, "shard {index} failed: {error}"),
-            WindowError::Panic { index, panic } => write!(f, "shard {index} {panic}"),
-        }
-    }
-}
-
-/// Drives a set of shards through barrier-synchronized time windows.
-///
-/// Each iteration, `plan` runs alone on the caller's thread with mutable
-/// access to **all** shards — this is the synchronization point where a
-/// conservative parallel simulation exchanges cross-shard mailboxes and
-/// computes the next safe window bound. `plan` returns `Some(window)` to
-/// run one more window or `None` to finish. Then `step` runs once per
-/// shard — concurrently on scoped worker threads when `threads > 1`,
-/// inline otherwise — and the loop does not continue until every shard
-/// has finished the window (the barrier is the thread join itself).
-///
-/// Panics inside `step` are caught per shard ([`run_isolated`]), so a
-/// poisoned shard releases the barrier instead of wedging it; errors and
-/// panics are reported for the lowest failing shard index, making the
-/// failure deterministic for deterministic shards.
-///
-/// # Errors
-///
-/// Returns [`WindowError::Job`] when a step reports an error and
-/// [`WindowError::Panic`] when one panics, in both cases for the lowest
-/// failing shard index of the first failing window.
-pub fn drive_windows<S, W, E, P, F>(
-    shards: &mut [S],
-    threads: usize,
-    mut plan: P,
-    step: F,
-) -> Result<(), WindowError<E>>
-where
-    S: Send,
-    W: Copy + Send,
-    E: Send,
-    P: FnMut(&mut [S]) -> Option<W>,
-    F: Fn(usize, &mut S, W) -> Result<(), E> + Sync,
-{
-    while let Some(window) = plan(shards) {
-        let results: Vec<Result<Result<(), E>, CaughtPanic>> = if threads <= 1 || shards.len() <= 1
-        {
-            shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, s)| run_isolated(|| step(i, s, window)))
-                .collect()
-        } else {
-            let step = &step;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, s)| scope.spawn(move || run_isolated(|| step(i, s, window))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // `step` is caught inside the worker, so join
-                        // only fails if the catch itself died.
-                        h.join().unwrap_or_else(|_| {
-                            Err(CaughtPanic {
-                                message: "worker thread died outside the panic guard".into(),
-                            })
-                        })
-                    })
-                    .collect()
-            })
-        };
-        for (index, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(Ok(())) => {}
-                Ok(Err(error)) => return Err(WindowError::Job { index, error }),
-                Err(panic) => return Err(WindowError::Panic { index, panic }),
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,126 +357,6 @@ mod tests {
         let items: Vec<u64> = (0..12).collect();
         let serial = par_map_isolated(items.clone(), 1, job);
         assert_eq!(par_map_isolated(items, 4, job), serial);
-    }
-
-    /// A toy "simulation": each shard advances its clock to the window
-    /// bound, accumulating work; the plan hands out three fixed windows.
-    fn drive_counters(threads: usize) -> Vec<u64> {
-        let mut shards: Vec<u64> = vec![0; 4];
-        let mut windows = vec![10u64, 20, 30].into_iter();
-        drive_windows::<_, _, (), _, _>(
-            &mut shards,
-            threads,
-            |_shards| windows.next(),
-            |i, s, w| {
-                *s = w + i as u64;
-                Ok(())
-            },
-        )
-        .unwrap();
-        shards
-    }
-
-    #[test]
-    fn drive_windows_serial_and_parallel_agree() {
-        let serial = drive_counters(1);
-        assert_eq!(serial, vec![30, 31, 32, 33]);
-        for threads in [2, 4, 8] {
-            assert_eq!(drive_counters(threads), serial);
-        }
-    }
-
-    #[test]
-    fn drive_windows_plan_sees_step_mutations() {
-        // The plan observes state written by the previous window's steps:
-        // that is the barrier guarantee.
-        let mut shards: Vec<u64> = vec![0; 3];
-        let mut rounds = 0;
-        drive_windows::<_, _, (), _, _>(
-            &mut shards,
-            2,
-            |shards| {
-                if rounds > 0 {
-                    assert!(shards.iter().all(|&s| s == rounds));
-                }
-                rounds += 1;
-                (rounds <= 5).then_some(rounds)
-            },
-            |_i, s, w| {
-                *s = w;
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(shards, vec![5, 5, 5]);
-    }
-
-    #[test]
-    fn drive_windows_reports_lowest_index_job_error() {
-        for threads in [1, 4] {
-            let mut shards: Vec<u64> = (0..8).collect();
-            let mut first = true;
-            let err = drive_windows(
-                &mut shards,
-                threads,
-                |_shards| {
-                    let w = first.then_some(1u64);
-                    first = false;
-                    w
-                },
-                |i, s, _w| {
-                    if *s % 3 == 1 {
-                        Err(format!("bad shard {i}"))
-                    } else {
-                        Ok(())
-                    }
-                },
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                WindowError::Job {
-                    index: 1,
-                    error: "bad shard 1".to_string(),
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn drive_windows_panic_releases_barrier_and_is_typed() {
-        for threads in [1, 4] {
-            let mut shards: Vec<u64> = vec![0; 4];
-            let mut first = true;
-            let err = drive_windows::<_, _, (), _, _>(
-                &mut shards,
-                threads,
-                |_shards| {
-                    let w = first.then_some(1u64);
-                    first = false;
-                    w
-                },
-                |i, s, w| {
-                    if i == 2 {
-                        panic!("shard {i} poisoned");
-                    }
-                    *s = w;
-                    Ok(())
-                },
-            )
-            .unwrap_err();
-            match err {
-                WindowError::Panic { index, panic } => {
-                    assert_eq!(index, 2);
-                    assert_eq!(panic.message, "shard 2 poisoned");
-                }
-                other => panic!("expected panic error, got {other:?}"),
-            }
-            // Siblings still completed their window before the error
-            // surfaced: the barrier was released, not wedged.
-            assert_eq!(shards[0], 1);
-            assert_eq!(shards[3], 1);
-        }
     }
 
     #[test]

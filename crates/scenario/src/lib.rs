@@ -12,10 +12,10 @@
 //!   memoized in a content-addressed cache (`dctcp-cache`), so a warm
 //!   run over unchanged scenarios and unchanged code re-simulates
 //!   nothing yet renders byte-identical artifacts. Execution is also
-//!   *supervised* ([`run_scenario_supervised`]): cells run under panic
-//!   isolation, per-cell wall-clock deadlines and a bounded retry
-//!   budget (the `[limits]` section), and broken cells are quarantined
-//!   into the artifact's `failures` block instead of killing the run.
+//!   *supervised* ([`run_scenario_supervised`]): each cell runs once,
+//!   under panic isolation and a per-cell wall-clock deadline (the
+//!   `[limits]` section), and a broken cell is quarantined into the
+//!   artifact's `failures` block instead of killing the run.
 //!   Because workers persist each finished cell immediately, a run
 //!   killed mid-matrix — even with `kill -9` — resumes from the cache
 //!   with zero recomputation.

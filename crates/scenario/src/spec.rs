@@ -438,7 +438,9 @@ fn parse_limits(
         deadline: s.get("deadline").map(parse_positive_duration).transpose()?,
         ..LimitsSpec::default()
     };
-    // No-op: benchmark/scenarios/linux_dctcp_flaws.scn sets it until ROADMAP 1a deletes it.
+    // A range-checked no-op, kept for good: the frozen benchmark copy
+    // benchmark/scenarios/linux_dctcp_flaws.scn sets it. ROADMAP's shared
+    // rules are the one list of keys only frozen copies still set.
     if let Some(e) = s.get("retries") {
         let retries: u32 = parse_uint(e)?;
         if retries > 8 {

@@ -68,15 +68,6 @@ pub enum SimError {
         /// The simulator clock when the cancellation was observed.
         at: SimTime,
     },
-    /// A worker thread of a sharded run panicked. The window barrier is
-    /// still released (no deadlock); the run as a whole fails with this
-    /// error and the panic message.
-    ShardPanicked {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -106,9 +97,6 @@ impl fmt::Display for SimError {
             }
             SimError::Cancelled { at } => {
                 write!(f, "run cancelled by supervisor at {at}")
-            }
-            SimError::ShardPanicked { shard, message } => {
-                write!(f, "shard {shard} worker panicked: {message}")
             }
         }
     }

@@ -23,8 +23,8 @@
 //!   as the cursor advances toward them.
 //!
 //! All ordering decisions compare the key `(at, prio, seq)` — a
-//! **content-derived** key that every engine (serial or sharded) can
-//! compute for the same logical event without global coordination:
+//! **content-derived** key, fixed by the event's origin and drawn when
+//! the event is decided, not when it enters the queue:
 //!
 //! * `at` is the deadline;
 //! * `prio` is the *scheduling instant* (the clock value when the event
@@ -40,14 +40,14 @@
 //! nondecreasing in the counter and same-instant events fire in
 //! scheduling order. With multiple origins, ties at equal `(at, sched)`
 //! break by origin index, then per-origin scheduling order — arbitrary
-//! but *reproducible from the event's content alone*. That is what makes
-//! sharded execution bit-identical: each origin's schedule sequence
-//! happens entirely inside the shard that owns it, so the owning shard
-//! assigns exactly the counters the serial engine would have, and a
-//! cross-shard arrival ships its full key through the window mailbox
-//! ([`EventQueue::insert_keyed`]) to sort in the destination shard
-//! precisely where the serial engine would have dispatched it —
-//! regardless of mailbox drain order.
+//! but *reproducible from the event's content alone*. That is what lets
+//! the engine schedule transmit completions lazily: a transmission draws
+//! its `TxComplete` key from its node's counter at transmission start
+//! ([`EventQueue::next_seq`]), and the event enters the queue
+//! ([`EventQueue::insert_keyed`]) only if a backlog forms behind it. It
+//! then sorts exactly where an eagerly scheduled completion would have,
+//! and every other event keeps the key — and with it the dispatch
+//! order — it has under eager completions, which the golden digests pin.
 //!
 //! The queue also owns the in-flight **packet slab**: arrival events
 //! carry a `u32` slot into a recycled [`Packet`] arena instead of an
@@ -103,8 +103,7 @@ struct ScheduledEvent {
     /// Content-derived tie-breaker: `origin << SEQ_COUNTER_BITS |
     /// counter`, where `origin` identifies the node whose activity
     /// scheduled the event and `counter` is that origin's monotone
-    /// schedule count. Identical in serial and sharded runs (see the
-    /// module docs), which is what makes sharding bit-identical.
+    /// schedule count (see the module docs).
     seq: u64,
     kind: EventKind,
 }
@@ -276,10 +275,8 @@ impl EventQueue {
     }
 
     /// Draws the next content-derived `seq` for `origin`: the origin id
-    /// packed with that origin's monotone schedule count. Serial and
-    /// sharded engines draw identical sequences for the same origin
-    /// (all of an origin's schedules happen in the shard that owns it),
-    /// so the value is a globally consistent tie-breaker. O(1) amortized.
+    /// packed with that origin's monotone schedule count, so the value
+    /// is a tie-breaker fixed by the event's content. O(1) amortized.
     #[inline]
     pub(crate) fn next_seq(&mut self, origin: u32) -> u64 {
         debug_assert!(
@@ -308,12 +305,11 @@ impl EventQueue {
         self.insert_keyed(at, sched, seq, kind);
     }
 
-    /// Inserts an event under an explicit, already-drawn key — the
-    /// cross-shard injection path. The sending shard draws `seq` from
-    /// the origin's counter ([`EventQueue::next_seq`]) and ships it with
-    /// the packet, so the event sorts here exactly where the serial
-    /// engine would have dispatched it, independent of mailbox drain
-    /// order. Does not touch the origin counters.
+    /// Inserts an event under an explicit, already-drawn key — the lazy
+    /// `TxComplete` path. The transmission draws `seq` from its origin's
+    /// counter ([`EventQueue::next_seq`]) when it starts, so the event
+    /// sorts exactly where an eager schedule would have put it, however
+    /// much later it is inserted. Does not touch the origin counters.
     #[inline]
     pub(crate) fn insert_keyed(&mut self, at: SimTime, sched: SimTime, seq: u64, kind: EventKind) {
         self.insert(ScheduledEvent {
@@ -449,21 +445,9 @@ impl EventQueue {
         None
     }
 
-    /// Index of the earliest `(at, prio, seq)` entry in `bucket`.
-    #[inline]
-    fn bucket_min(bucket: &[ScheduledEvent]) -> usize {
-        let mut best = 0;
-        for (i, e) in bucket.iter().enumerate().skip(1) {
-            if e.key() < bucket[best].key() {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Removes and returns the earliest event — deadline, the `(prio,
-    /// seq)` tail of its key (used to rank same-instant trace records
-    /// when merging shard logs), and payload — whose deadline is at or
+    /// seq)` tail of its key (which decides whether a lazy completion
+    /// would already have fired), and payload — whose deadline is at or
     /// before `until`; `None` leaves the queue untouched apart from
     /// cursor advancement over empty buckets. Cancelled timers are
     /// reaped here without being returned.
@@ -528,26 +512,6 @@ impl EventQueue {
     pub(crate) fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         self.pop_before(SimTime::from_nanos(u64::MAX))
             .map(|(at, _, _, kind)| (at, kind))
-    }
-
-    /// Deadline of the earliest scheduled event (including cancelled
-    /// timers not yet reaped). Used by the sharded driver to compute the
-    /// global window bound; a not-yet-reaped cancelled timer only makes
-    /// the bound conservative (an empty window), never wrong.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        let wheel_min = self.next_occupied_distance().map(|dist| {
-            let slot = ((self.cursor + dist) as usize) & (NUM_BUCKETS - 1);
-            let bucket = &self.wheel[slot];
-            bucket[Self::bucket_min(bucket)].at
-        });
-        let overflow_min = self.overflow.peek().map(|e| e.at);
-        match (wheel_min, overflow_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Number of scheduled entries, in O(1). Cancelled timers count
@@ -637,11 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn len_tracks_schedule_and_pop() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
+        assert!(q.is_empty());
         q.schedule_t0(SimTime::from_nanos(7), timer(0, 0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -1068,7 +1031,7 @@ mod tests {
 
     /// Ties at equal `(at, sched)` break by origin index, then each
     /// origin's own scheduling order — derived from the event's content,
-    /// so serial and sharded engines agree without coordination.
+    /// not from the order the queue saw the schedules in.
     #[test]
     fn equal_instant_ties_order_by_origin_then_counter() {
         let mut q = EventQueue::new();
@@ -1081,20 +1044,18 @@ mod tests {
         assert_eq!(drain_tokens(&mut q), vec![10, 11, 20, 21]);
     }
 
-    /// A cross-shard injection carries the key its origin drew in the
-    /// *sending* queue; the receiving queue sorts it purely by that key,
-    /// so the mailbox drain order is irrelevant — even when two
-    /// injections and a local event tie on `(at, sched)`.
+    /// A keyed insert (a lazy completion) sorts purely by the key drawn
+    /// earlier, so insertion order is irrelevant — even when two keyed
+    /// inserts and a scheduled event tie on `(at, sched)`.
     #[test]
-    fn keyed_injection_is_independent_of_drain_order() {
-        // Sending shard: origin 3 draws two consecutive keys.
-        let mut tx = EventQueue::new();
-        let first = tx.next_seq(3);
-        let second = tx.next_seq(3);
-        assert!(first < second);
-        // Receiving shard: a local event from origin 5 at the same
-        // instant, then the injections delivered in *reversed* order.
+    fn keyed_insert_is_independent_of_insertion_order() {
         let mut q = EventQueue::new();
+        // Origin 3 draws two consecutive keys up front.
+        let first = q.next_seq(3);
+        let second = q.next_seq(3);
+        assert!(first < second);
+        // An event from origin 5 at the same instant, then the keyed
+        // inserts in *reversed* draw order.
         let at = SimTime::from_nanos(500);
         let sched = SimTime::from_nanos(100);
         q.schedule(at, sched, 5, timer(0, 50));
@@ -1104,15 +1065,13 @@ mod tests {
         assert_eq!(drain_tokens(&mut q), vec![30, 31, 50]);
     }
 
-    /// The scheduling instant dominates the origin tie-break: an
-    /// injection scheduled from an *earlier* instant sorts ahead of a
-    /// local event scheduled later, so windows replay exactly as a
-    /// serial run would have interleaved them.
+    /// The scheduling instant dominates the origin tie-break: a keyed
+    /// insert drawn at an *earlier* instant sorts ahead of an event
+    /// scheduled later, however late it is inserted.
     #[test]
     fn scheduling_instant_dominates_origin() {
-        let mut tx = EventQueue::new();
-        let key = tx.next_seq(9);
         let mut q = EventQueue::new();
+        let key = q.next_seq(9);
         let at = SimTime::from_nanos(900);
         q.schedule(at, SimTime::from_nanos(800), 0, timer(0, 1));
         q.insert_keyed(at, SimTime::from_nanos(200), key, timer(0, 2));
@@ -1120,9 +1079,8 @@ mod tests {
     }
 
     /// Per-origin counters are independent: interleaved draws from two
-    /// origins each count 0, 1, 2, … — the property that lets a shard
-    /// reproduce exactly the serial engine's counters for the origins it
-    /// owns while other shards count theirs.
+    /// origins each count 0, 1, 2, …, so one origin's activity never
+    /// shifts another origin's keys.
     #[test]
     fn origin_counters_are_independent() {
         let mut q = EventQueue::new();

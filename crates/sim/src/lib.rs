@@ -12,12 +12,9 @@
 //!   exact; ties break FIFO, so every run is deterministic.
 //! * **Exact queue statistics** — queue occupancy is integrated between
 //!   events ([`dctcp_stats::TimeWeighted`]), not sampled.
-//! * **Deterministic at any parallelism** — the serial [`Simulator`] is
-//!   the reference; [`ShardedSimulator`] partitions multi-domain
-//!   topologies along high-delay links and runs the domains on worker
-//!   threads under conservative time windows, producing *bit-identical*
-//!   traces and statistics at every shard count (see
-//!   [`ShardedSimulator`] for the lookahead and ordering argument).
+//! * **One engine** — each run is a single-threaded [`Simulator`];
+//!   parallelism lives one level up, across independent runs (see
+//!   `dctcp-parallel`), so results do not depend on the thread count.
 //!
 //! # Examples
 //!

@@ -129,22 +129,6 @@ impl Link {
     pub(crate) fn end_of(&self, node: NodeId) -> Option<usize> {
         self.ends.iter().position(|e| e.node == node)
     }
-
-    /// A pristine replica of this link: same spec, endpoints, and queue
-    /// configurations, with all runtime state (occupancy, transmissions,
-    /// stats) at its initial values.
-    ///
-    /// Only valid at time zero, before any traffic — the sharded driver
-    /// uses it to give each shard its own copy of the topology.
-    pub(crate) fn fresh_copy(&self) -> Result<Self, dctcp_core::ParamError> {
-        Link::new(
-            self.spec,
-            self.ends[0].node,
-            &self.ends[0].queue.config(),
-            self.ends[1].node,
-            &self.ends[1].queue.config(),
-        )
-    }
 }
 
 #[cfg(test)]

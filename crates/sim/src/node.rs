@@ -18,11 +18,9 @@ use crate::{NodeId, Packet, SimDuration, SimTime, TimerToken};
 /// back to their concrete type after a run to harvest per-flow
 /// statistics.
 ///
-/// Agents must be `Send`: the sharded engine
-/// ([`ShardedSimulator`](crate::ShardedSimulator)) moves each shard —
-/// including its hosts' agents — onto a worker thread. Agents are never
-/// shared between threads (`Sync` is not required) and each is only ever
-/// called from the single thread driving its shard.
+/// Agents are `Send`, so a [`Simulator`](crate::Simulator) is too: a
+/// run can be built on one thread and driven on another. `Sync` is not
+/// required; one thread drives a simulator at a time.
 pub trait Agent: fmt::Debug + Any + Send {
     /// Called once at simulation start (time zero).
     fn on_start(&mut self, ctx: &mut Context<'_>) {

@@ -414,19 +414,6 @@ impl OutputQueue {
         self.scheme
     }
 
-    /// Reconstructs the configuration this queue was built from, so an
-    /// identical pristine queue can be created (sharded runs replicate
-    /// the topology per shard).
-    pub(crate) fn config(&self) -> QueueConfig {
-        QueueConfig {
-            capacity: self.capacity,
-            scheme: self.scheme,
-            trace_interval: self.trace_interval,
-            loss: self.loss,
-            reorder: self.reorder,
-        }
-    }
-
     /// The buffer limit.
     pub fn capacity(&self) -> Capacity {
         self.capacity

@@ -23,63 +23,6 @@ const DEFAULT_LIVELOCK_THRESHOLD: u64 = 1_000_000;
 /// wall time.
 const CANCEL_CHECK_STRIDE: u64 = 4096;
 
-/// High bit of a trace record's merge rank ([`Tracer::set_ord`]): set
-/// for records emitted while dispatching an event (whose rank carries
-/// the event's scheduling instant and key tail), clear for pre-event
-/// records — the queue-info preamble (rank 0) and agent `on_start`
-/// callbacks ([`ON_START_ORD`]) — so those sort ahead of same-instant
-/// event records when shard logs merge, matching serial record order.
-const IN_EVENT_ORD: u64 = 1 << 63;
-
-/// Merge rank of records emitted from agent `on_start` callbacks:
-/// after the queue-info preamble (0), before any dispatched event
-/// ([`IN_EVENT_ORD`]); ties among hosts break on the node index, which
-/// is the order `start_agents` visits them — serially and per shard.
-const ON_START_ORD: u64 = 1;
-
-/// A packet crossing a shard boundary: generated by the owning shard of
-/// the transmitting link end, delivered into the destination shard's
-/// event queue at the next window barrier via
-/// [`Simulator::inject_arrival`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CrossPacket {
-    /// Arrival instant at the receiving node (tx complete + propagation).
-    pub(crate) at: SimTime,
-    /// The instant the sending shard scheduled the arrival — carried
-    /// across the boundary so the destination queue can order the
-    /// injection exactly where a serial run would have placed it.
-    pub(crate) sched: SimTime,
-    /// The content-derived `seq` tie-breaker (origin + per-origin
-    /// counter), drawn from the transmitting node's counter in the
-    /// sending shard — exactly the value the serial engine would have
-    /// assigned, making the full key `(at, sched, seq)` shard-invariant.
-    pub(crate) seq: u64,
-    /// Receiving node.
-    pub(crate) node: NodeId,
-    /// The packet itself (`Packet` is `Copy`; no allocation crosses the
-    /// barrier).
-    pub(crate) packet: Packet,
-}
-
-/// Per-shard identity and mailbox, attached to a [`Simulator`] by the
-/// sharded driver. `None` on a plain serial simulator.
-#[derive(Debug)]
-pub(crate) struct ShardCtx {
-    /// This shard's id (an index into the driver's shard vector).
-    pub(crate) id: u32,
-    /// Node index → owning shard id, shared read-only by all shards.
-    pub(crate) domain_of: std::sync::Arc<Vec<u32>>,
-    /// Outgoing cross-shard packets generated during the current window,
-    /// in generation order (deterministic: the shard itself is serial).
-    pub(crate) outbox: Vec<CrossPacket>,
-}
-
-impl ShardCtx {
-    pub(crate) fn owns(&self, node: NodeId) -> bool {
-        self.domain_of[node.index()] == self.id
-    }
-}
-
 /// Where a run's events went, by kind — see [`Simulator::event_counts`].
 ///
 /// Counts only: nothing here enters an artifact.
@@ -109,26 +52,11 @@ impl EventCounts {
     }
 }
 
-impl std::ops::Add for EventCounts {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        EventCounts {
-            arrivals: self.arrivals + rhs.arrivals,
-            tx_completions: self.tx_completions + rhs.tx_completions,
-            tx_elided: self.tx_elided + rhs.tx_elided,
-            timers: self.timers + rhs.timers,
-            faults: self.faults + rhs.faults,
-        }
-    }
-}
-
 /// Drives a [`Network`] through time.
 ///
 /// The engine is single-threaded and fully deterministic: events at equal
 /// instants fire in scheduling order, so two runs of the same scenario
-/// produce identical traces. (For multi-domain topologies,
-/// [`ShardedSimulator`](crate::ShardedSimulator) runs several of these in
-/// lock-step windows with bit-identical results.)
+/// produce identical traces.
 ///
 /// # Examples
 ///
@@ -172,10 +100,6 @@ pub struct Simulator {
     /// Event recorder; disabled (one branch per record point) unless
     /// [`Simulator::enable_trace`] was called.
     tracer: Tracer,
-    /// Present only when this simulator is one shard of a
-    /// [`ShardedSimulator`](crate::ShardedSimulator): identity, ownership
-    /// map, and the outgoing cross-shard mailbox.
-    shard: Option<ShardCtx>,
 }
 
 impl Simulator {
@@ -199,54 +123,7 @@ impl Simulator {
             event_budget: None,
             cancel_token: None,
             tracer: Tracer::disabled(),
-            shard: None,
         }
-    }
-
-    /// Marks this simulator as one shard of a sharded run. Called once,
-    /// before any events, by the sharded driver.
-    pub(crate) fn set_shard(&mut self, ctx: ShardCtx) {
-        debug_assert!(self.now == SimTime::ZERO && !self.started);
-        self.shard = Some(ctx);
-    }
-
-    /// Runs deferred agent `on_start` callbacks now instead of lazily on
-    /// the first `run_*`. The sharded driver calls this before the first
-    /// window so startup sends land in the outbox.
-    pub(crate) fn prime(&mut self) {
-        self.start_agents();
-    }
-
-    /// Deadline of the earliest pending event, if any. Used by the
-    /// sharded driver to bound synchronization windows; a stale cancelled
-    /// timer may be reported, which only makes the bound conservative.
-    pub(crate) fn peek_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
-    }
-
-    /// Moves this shard's outgoing mailbox into `into` (appending),
-    /// keeping the outbox's capacity for the next window.
-    pub(crate) fn take_outbox(&mut self, into: &mut Vec<CrossPacket>) {
-        if let Some(shard) = &mut self.shard {
-            into.append(&mut shard.outbox);
-        }
-    }
-
-    /// Injects a cross-shard arrival received at a window barrier under
-    /// the exact key the sending shard drew for it, so it sorts among
-    /// local events precisely where the serial engine would have
-    /// dispatched it — see [`crate::event`].
-    pub(crate) fn inject_arrival(&mut self, cp: CrossPacket) {
-        let slot = self.events.alloc_packet(cp.packet);
-        self.events.insert_keyed(
-            cp.at,
-            cp.sched,
-            cp.seq,
-            EventKind::Arrival {
-                node: cp.node,
-                slot,
-            },
-        );
     }
 
     /// Turns on event tracing. Every queue gets a stable trace id
@@ -259,29 +136,16 @@ impl Simulator {
     pub fn enable_trace(&mut self, cfg: TraceConfig) {
         self.tracer = Tracer::new(cfg);
         let t = self.now.as_nanos();
-        let shard = &self.shard;
         for (i, l) in self.links.iter_mut().enumerate() {
             for (end, e) in l.ends.iter_mut().enumerate() {
                 let id = (i * 2 + end) as u32;
                 e.queue.set_trace_id(id);
-                // In a sharded run only the owner of a link end uses (and
-                // traces) its queue; emitting QueueInfo there alone keeps
-                // the merged log identical to a serial run's.
-                if let Some(s) = shard {
-                    if !s.owns(e.node) {
-                        continue;
-                    }
-                }
                 let (capacity_pkts, capacity_bytes) = match e.queue.capacity() {
                     Capacity::Unbounded => (None, None),
                     Capacity::Packets(n) => (Some(n), None),
                     Capacity::Bytes(b) => (None, Some(b)),
                 };
                 let threshold = threshold_of(e.queue.scheme());
-                // Preamble records rank first (0) among same-instant
-                // records, ordered by the global queue id — identical in
-                // serial and merged sharded logs.
-                self.tracer.set_ord((0, u64::from(id)));
                 self.tracer
                     .record_with(TraceScope::QUEUE, t, || TraceKind::QueueInfo {
                         queue: id,
@@ -393,12 +257,6 @@ impl Simulator {
             }
             self.now = at;
             self.running = Some((prio, seq));
-            if self.tracer.enabled() {
-                // Records emitted while dispatching this event rank by
-                // its key, so merged shard logs reproduce the serial
-                // record order even among same-instant events.
-                self.tracer.set_ord((IN_EVENT_ORD | prio, seq));
-            }
             self.dispatch(kind);
         }
         self.running = None;
@@ -465,10 +323,8 @@ impl Simulator {
                 });
             }
         }
-        // Faults use a pseudo-origin one past the last node: plans are
-        // installed into every shard in the same order, so the pseudo-
-        // origin's counter — and with it each fault's key — is identical
-        // across all shards and the serial engine.
+        // Faults use a pseudo-origin one past the last node, so their
+        // keys draw from a counter no agent shares.
         let origin = self.num_nodes as u32;
         for ev in plan.events() {
             self.events.schedule(
@@ -639,13 +495,6 @@ impl Simulator {
         for i in 0..self.nodes.len() {
             let node = NodeId::from_index(i);
             if self.nodes[i].is_host() {
-                if self.tracer.enabled() {
-                    // `on_start` records rank after the preamble, before
-                    // any dispatched event, in node-index order — the
-                    // order this loop visits hosts, serially and in
-                    // every shard.
-                    self.tracer.set_ord((ON_START_ORD, i as u64));
-                }
                 self.with_agent(node, |agent, ctx| agent.on_start(ctx));
             }
         }
@@ -689,44 +538,29 @@ impl Simulator {
     }
 
     fn apply_fault(&mut self, link: LinkId, action: FaultAction) {
-        // Faults are installed into every shard so link state stays
-        // consistent, but exactly one shard (the owner of end 0) counts
-        // and traces the event — the merged sharded run then matches the
-        // serial run event-for-event.
-        let owner = self
-            .shard
-            .as_ref()
-            .is_none_or(|s| s.owns(self.links[link.index()].ends[0].node));
-        if owner {
-            self.counts.faults += 1;
-            let kind = match action {
-                FaultAction::LinkDown => FaultKind::LinkDown,
-                FaultAction::LinkUp => FaultKind::LinkUp,
-                FaultAction::BleachOn => FaultKind::BleachOn,
-                FaultAction::BleachOff => FaultKind::BleachOff,
-            };
-            self.tracer
-                .record_with(TraceScope::FAULT, self.now.as_nanos(), || {
-                    TraceKind::Fault {
-                        link: link.index() as u32,
-                        kind,
-                    }
-                });
-        }
+        self.counts.faults += 1;
+        let kind = match action {
+            FaultAction::LinkDown => FaultKind::LinkDown,
+            FaultAction::LinkUp => FaultKind::LinkUp,
+            FaultAction::BleachOn => FaultKind::BleachOn,
+            FaultAction::BleachOff => FaultKind::BleachOff,
+        };
+        self.tracer
+            .record_with(TraceScope::FAULT, self.now.as_nanos(), || {
+                TraceKind::Fault {
+                    link: link.index() as u32,
+                    kind,
+                }
+            });
         match action {
             FaultAction::LinkDown => {
                 self.links[link.index()].up = false;
             }
             FaultAction::LinkUp => {
                 self.links[link.index()].up = true;
-                // Restart both transmitters: queued packets resume. In a
-                // sharded run each end's queue lives with the end's
-                // owner, so only the owner restarts it.
+                // Restart both transmitters: queued packets resume.
                 for end in 0..2 {
-                    let node = self.links[link.index()].ends[end].node;
-                    if self.shard.as_ref().is_none_or(|s| s.owns(node)) {
-                        self.try_start_tx(link, end);
-                    }
+                    self.try_start_tx(link, end);
                 }
             }
             FaultAction::BleachOn => {
@@ -793,7 +627,7 @@ impl Simulator {
     /// destination. With equal-cost multipath, the queue is chosen by
     /// the seeded ECMP hash over the packet's flow, endpoints and this
     /// node — a pure function of packet content and static tables, so
-    /// serial and sharded runs forward identically.
+    /// every run forwards identically.
     fn forward(&mut self, node: NodeId, packet: Packet) {
         let Some((link, end)) = self.routes.select(node, &packet) else {
             // No route (packet addressed to a switch, or a partitioned
@@ -855,8 +689,7 @@ impl Simulator {
         e.busy_time += tx;
         e.bytes_sent += wire;
         // Both events this transmission schedules originate at the
-        // transmitting node: its owning shard draws the same counter
-        // values the serial engine would.
+        // transmitting node and draw from its key counter.
         let origin = e.node.index() as u32;
         let arrival_at = self.now + tx + l.spec.delay;
         // The completion's key is drawn whether or not its event is
@@ -875,25 +708,6 @@ impl Simulator {
             self.counts.tx_elided += 1;
         }
         e.tx = Some(completion);
-        if let Some(shard) = &mut self.shard {
-            if !shard.owns(other) {
-                // Cross-shard hop: hand the packet to the window mailbox
-                // instead of the local event queue, carrying the full
-                // key (the counter draw must happen here, exactly as the
-                // serial engine would have drawn it). `arrival_at` is at
-                // least one lookahead past the current window's end, so
-                // the destination shard cannot have advanced past it.
-                let seq = self.events.next_seq(origin);
-                shard.outbox.push(CrossPacket {
-                    at: arrival_at,
-                    sched: self.now,
-                    seq,
-                    node: other,
-                    packet: pkt,
-                });
-                return;
-            }
-        }
         let slot = self.events.alloc_packet(pkt);
         self.events.schedule(
             arrival_at,

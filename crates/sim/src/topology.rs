@@ -5,9 +5,8 @@
 //! compact next-hop table ([`Routes`]). Packets crossing a node with
 //! more than one candidate pick one by a seeded, purely functional ECMP
 //! hash over `(flow, packet src, packet dst, current node)` — the same
-//! packet takes the same path in every run, at every thread count and
-//! at every shard count, because the choice depends only on packet
-//! content and static tables.
+//! packet takes the same path in every run and at every thread count,
+//! because the choice depends only on packet content and static tables.
 
 use std::collections::VecDeque;
 
@@ -64,8 +63,7 @@ pub struct Network {
 /// Stored in CSR form: `index[src * n + dst]` gives the offset and
 /// count of the `(src, dst)` candidate group inside `hops`. Groups are
 /// in link-id order, so the table itself is a pure function of the
-/// topology — independent of build iteration order, thread count or
-/// shard count.
+/// topology — independent of build iteration order or thread count.
 #[derive(Debug, Clone)]
 pub struct Routes {
     /// `(offset, candidate count)` per row-major `(src, dst)` pair.
@@ -81,7 +79,7 @@ pub struct Routes {
 /// The seeded ECMP hash: a SplitMix64 absorption chain over the flow
 /// id, the packet's endpoints, and the node making the decision. Every
 /// input is packet content or static configuration, so the result is
-/// identical across runs, thread counts and shard counts.
+/// identical across runs and thread counts.
 #[inline]
 fn ecmp_hash(seed: u64, flow: u64, src: u32, dst: u32, node: u32) -> u64 {
     let mut h = SplitMix64::new(seed);
@@ -360,9 +358,7 @@ impl TierSpec {
 ///
 /// Node creation order is hosts (pod-major), then edges, aggregations
 /// and cores, so host indices are dense from zero. Tier delays are free
-/// parameters, but giving core links the largest propagation delay lets
-/// the sharded engine split the tree into per-pod domains with the core
-/// delay as lookahead.
+/// parameters.
 #[derive(Debug, Clone)]
 pub struct FatTree {
     k: u32,

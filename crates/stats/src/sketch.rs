@@ -6,7 +6,7 @@
 //! `(γ^(i-1), γ^i]` with `γ = (1 + α) / (1 − α)`, which caps the
 //! relative error of any reported quantile at `α` (the DDSketch bound,
 //! Masson et al., VLDB 2019). Merging two sketches is an element-wise
-//! counter addition, so per-shard (or per-host) sketches combine into
+//! counter addition, so per-host (or per-rack) sketches combine into
 //! the exact sketch of the concatenated streams — merge order cannot
 //! change a single bit of the result.
 
@@ -33,7 +33,7 @@ fn gamma() -> f64 {
 }
 
 /// A streaming quantile estimator over positive values with relative
-/// error bounded by [`SKETCH_ALPHA`], mergeable across shards.
+/// error bounded by [`SKETCH_ALPHA`], mergeable across hosts and runs.
 ///
 /// # Examples
 ///
@@ -351,22 +351,22 @@ mod tests {
     fn merged_sketch_equals_sketch_of_concatenated_stream() {
         let mut rng = Pcg32::seed_from_u64(11);
         let samples: Vec<f64> = (0..9000).map(|_| 1e-4 + rng.next_f64()).collect();
-        // Shard the stream three ways, round-robin, sketch each shard,
+        // Split the stream three ways, round-robin, sketch each part,
         // merge — bit-identical quantiles to the serial sketch.
         let mut serial = QuantileSketch::new();
         for &v in &samples {
             serial.record(v);
         }
-        let mut shards = [
+        let mut parts = [
             QuantileSketch::new(),
             QuantileSketch::new(),
             QuantileSketch::new(),
         ];
         for (i, &v) in samples.iter().enumerate() {
-            shards[i % 3].record(v);
+            parts[i % 3].record(v);
         }
         let mut merged = QuantileSketch::new();
-        for s in &shards {
+        for s in &parts {
             merged.merge(s);
         }
         assert_eq!(serial.counts, merged.counts);

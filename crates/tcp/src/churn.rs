@@ -15,7 +15,8 @@
 //! packet or timer surviving from a slot's previous incarnation fails
 //! the generation check and is counted and dropped instead of corrupting
 //! the next flow. All state is per-host and all randomness is a per-host
-//! PCG stream, so runs are bit-identical at any shard count.
+//! PCG stream, so a rack simulated alone behaves exactly as it does in
+//! a network of many racks.
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -472,11 +472,6 @@ impl TraceKind {
 pub struct TraceEvent {
     /// Simulation time in nanoseconds.
     pub t_ns: u64,
-    /// Opaque merge rank ([`Tracer::set_ord`]): orders same-instant
-    /// records from different shards the way a serial engine would have
-    /// recorded them. Excluded from the JSONL render and the digest;
-    /// `(0, 0)` when the recording engine never set one.
-    pub ord: (u64, u64),
     /// Payload.
     pub kind: TraceKind,
 }
@@ -493,9 +488,6 @@ pub struct Tracer {
     ring: Vec<TraceEvent>,
     head: usize,
     dropped: u64,
-    /// Merge rank stamped onto every recorded event until the next
-    /// [`Tracer::set_ord`] call.
-    ord: (u64, u64),
 }
 
 impl Tracer {
@@ -509,7 +501,6 @@ impl Tracer {
             ring: Vec::new(),
             head: 0,
             dropped: 0,
-            ord: (0, 0),
         }
     }
 
@@ -522,18 +513,7 @@ impl Tracer {
             ring: Vec::new(),
             head: 0,
             dropped: 0,
-            ord: (0, 0),
         }
-    }
-
-    /// Sets the merge rank stamped onto subsequent records. Engines call
-    /// this once per dispatched event (with the event's queue key) and
-    /// at pre-event record points, so [`merge_logs`] can interleave
-    /// same-instant records from different shards exactly as one serial
-    /// engine would have recorded them.
-    #[inline]
-    pub fn set_ord(&mut self, ord: (u64, u64)) {
-        self.ord = ord;
     }
 
     /// Whether any scope records.
@@ -556,11 +536,7 @@ impl Tracer {
         if self.mask & scope.0 == 0 {
             return;
         }
-        self.push(TraceEvent {
-            t_ns,
-            ord: self.ord,
-            kind: f(),
-        });
+        self.push(TraceEvent { t_ns, kind: f() });
     }
 
     fn push(&mut self, ev: TraceEvent) {
@@ -616,27 +592,6 @@ pub struct TraceLog {
     /// Events lost to ring overwrite (the *oldest* events are lost
     /// first, so the retained suffix is still contiguous).
     pub dropped: u64,
-}
-
-/// Merges per-shard trace logs into one chronological log.
-///
-/// Events are concatenated in shard order and stably sorted by
-/// `(t_ns, ord)` — the merge rank carries the recording event's queue
-/// key, so same-instant records from different shards interleave
-/// exactly as one serial engine would have recorded them (records that
-/// tie on the full key, i.e. records of one event, keep their shard
-/// order, which is their emission order). `dropped` counts are summed.
-/// A sharded run whose shards each trace only the queues they own thus
-/// merges into a log *event-for-event identical* to the serial run's.
-pub fn merge_logs(logs: Vec<TraceLog>) -> TraceLog {
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(logs.iter().map(|l| l.events.len()).sum());
-    let mut dropped = 0u64;
-    for log in logs {
-        events.extend(log.events);
-        dropped += log.dropped;
-    }
-    events.sort_by_key(|e| (e.t_ns, e.ord));
-    TraceLog { events, dropped }
 }
 
 impl TraceLog {
@@ -957,39 +912,6 @@ mod tests {
     fn zero_capacity_is_disabled() {
         let t = Tracer::new(TraceConfig::with_capacity(0));
         assert!(!t.enabled());
-    }
-
-    #[test]
-    fn merge_logs_interleaves_chronologically_and_stably() {
-        let log_of = |times: &[u64], queue: u32| {
-            let mut t = Tracer::new(TraceConfig::with_capacity(16));
-            for &at in times {
-                t.record_with(TraceScope::QUEUE, at, || enqueue(queue, 1));
-            }
-            t.into_log()
-        };
-        let a = log_of(&[1, 5, 5, 9], 0);
-        let b = log_of(&[2, 5, 8], 1);
-        let merged = merge_logs(vec![a.clone(), b.clone()]);
-        assert_eq!(merged.events.len(), 7);
-        let times: Vec<u64> = merged.events.iter().map(|e| e.t_ns).collect();
-        assert_eq!(times, vec![1, 2, 5, 5, 5, 8, 9]);
-        // Stable: at t=5, shard 0's two events come before shard 1's.
-        let queues_at_5: Vec<u32> = merged
-            .events
-            .iter()
-            .filter(|e| e.t_ns == 5)
-            .map(|e| match e.kind {
-                TraceKind::Enqueue { queue, .. } => queue,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(queues_at_5, vec![0, 0, 1]);
-        // Digest equals the digest of the concatenation (order-free).
-        let mut concat = a;
-        concat.events.extend(b.events.iter().cloned());
-        concat.dropped += b.dropped;
-        assert_eq!(merged.digest(), concat.digest());
     }
 
     #[test]

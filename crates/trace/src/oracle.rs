@@ -467,11 +467,7 @@ mod tests {
     }
 
     fn ev(t_ns: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            t_ns,
-            ord: (0, 0),
-            kind,
-        }
+        TraceEvent { t_ns, kind }
     }
 
     fn info(queue: u32, cap: u32, threshold: MarkThreshold) -> TraceEvent {

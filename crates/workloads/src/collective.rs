@@ -5,15 +5,15 @@
 //!
 //! Phases are scheduled, not reactive: every step `s` starts its flows
 //! at `s · phase_gap`, a pure function of the configuration. That keeps
-//! the workload bit-identical across thread and shard counts (flow
-//! start times never depend on simulated completion), while congested
-//! steps still overlap realistically when a phase overruns its gap.
+//! the workload bit-identical across thread counts (flow start times
+//! never depend on simulated completion), while congested steps still
+//! overlap realistically when a phase overruns its gap.
 
 use dctcp_core::MarkingScheme;
 use dctcp_rng::Pcg32;
 use dctcp_sim::{
-    Capacity, FatTree, FlowId, LinkSpec, NodeId, QueueConfig, ShardedSimulator, SimDuration,
-    SimError, SimTime, TierSpec,
+    Capacity, FatTree, FlowId, LinkSpec, NodeId, QueueConfig, SimDuration, SimError, SimTime,
+    Simulator, TierSpec,
 };
 use dctcp_stats::TimeWeightedSummary;
 use dctcp_tcp::{ScheduledFlow, TcpConfig, TransportHost};
@@ -181,8 +181,7 @@ pub struct CollectiveConfig {
     /// Aggregation↔core link rate, Gb/s.
     pub core_gbps: f64,
     /// Host-tier one-way propagation delay in microseconds; the
-    /// aggregation tier uses 2× and the core tier 4×, which also lets
-    /// the sharded engine split the tree into per-pod domains.
+    /// aggregation tier uses 2× and the core tier 4×.
     pub delay_us: u64,
     /// Switch queue capacity (every tier).
     pub buffer: Capacity,
@@ -315,8 +314,6 @@ pub struct CollectiveReport {
 }
 
 /// Runs one collective to completion (or to its horizon) and reports.
-/// Serial unless `DCTCP_SIM_SHARDS` asks for `N ≥ 2` shards; results
-/// are bit-identical at any shard or thread count.
 ///
 /// # Errors
 ///
@@ -373,7 +370,7 @@ pub fn run_collective(
         .enumerate()
         .all(|(i, &h)| h == NodeId::from_index(i)));
 
-    let mut sim = ShardedSimulator::new(built.network)?;
+    let mut sim = Simulator::new(built.network);
     sim.set_cancel_token(cancel);
     let deadline = SimTime::ZERO + cfg.horizon;
     let step = SimDuration::from_micros(500);

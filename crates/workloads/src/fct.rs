@@ -9,16 +9,14 @@
 //! merges the per-source results in rack-major order — the same report
 //! the joined network gives. [`FctScenario::instantiate`] still builds
 //! the joined network, its rack switches chained by idle high-delay
-//! trunks so the shard partitioner can split racks across threads;
-//! results stay bit-identical at any shard count because all churn
-//! state is host-local.
+//! trunks; all churn state is host-local, so the trunks carry nothing.
 
 use std::ops::Range;
 
 use dctcp_core::MarkingScheme;
 use dctcp_sim::{
-    CancelToken, Capacity, LinkId, LinkSpec, NodeId, QueueConfig, ShardedSimulator, SimDuration,
-    SimError, SimTime, TopologyBuilder,
+    CancelToken, Capacity, LinkId, LinkSpec, NodeId, QueueConfig, SimDuration, SimError, SimTime,
+    Simulator, TopologyBuilder,
 };
 use dctcp_stats::QuantileSketch;
 use dctcp_tcp::{
@@ -58,9 +56,8 @@ pub struct FctScenarioBuilder {
 /// An instantiated FCT scenario: the simulator plus node/link handles.
 #[derive(Debug)]
 pub struct FctInstance {
-    /// The ready-to-run simulator. Serial unless `DCTCP_SIM_SHARDS`
-    /// asks for `N ≥ 2` shards.
-    pub sim: ShardedSimulator,
+    /// The ready-to-run simulator.
+    pub sim: Simulator,
     /// Churn source hosts, rack-major order.
     pub sources: Vec<NodeId>,
     /// One sink per rack.
@@ -108,11 +105,11 @@ pub struct FctReport {
     pub stale_events: u64,
     /// Incarnations adopted in place by sink receivers.
     pub recycled_receivers: u64,
-    /// Simulation events the engine dispatched for the whole run —
-    /// shard-count-invariant, so it doubles as a determinism
-    /// fingerprint and feeds the churn bench's events/sec rate. Transmit
-    /// completions the engine elided (nothing waited on them) are not
-    /// counted; see `dctcp_sim::Simulator::events_processed`.
+    /// Simulation events the engine dispatched for the whole run — a
+    /// determinism fingerprint that also feeds the churn bench's
+    /// events/sec rate. Transmit completions the engine elided (nothing
+    /// waited on them) are not counted; see
+    /// `dctcp_sim::Simulator::events_processed`.
     pub events: u64,
 }
 
@@ -177,35 +174,30 @@ impl FctScenario {
         total as f64 / self.mean_interarrival().as_secs_f64()
     }
 
-    /// Builds the topology without running it, letting
-    /// `DCTCP_SIM_SHARDS` pick the shard count (serial when unset).
+    /// Builds the joined network of every rack without running it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if topology construction or agent
     /// configuration fails.
     pub fn instantiate(&self) -> Result<FctInstance, SimError> {
-        self.instantiate_inner(0..self.racks, None)
+        self.instantiate_inner(0..self.racks)
     }
 
-    /// [`FctScenario::instantiate`] with an explicit shard target
-    /// (shard-parity tests and benches).
+    /// The same as [`FctScenario::instantiate`]; the shard target is
+    /// ignored. Kept only because the frozen benchmark (`benchmark/`)
+    /// calls it.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if topology construction or agent
-    /// configuration fails.
-    pub fn instantiate_with_shards(&self, target: usize) -> Result<FctInstance, SimError> {
-        self.instantiate_inner(0..self.racks, Some(target))
+    /// As [`FctScenario::instantiate`].
+    pub fn instantiate_with_shards(&self, _target: usize) -> Result<FctInstance, SimError> {
+        self.instantiate()
     }
 
     /// Builds the given racks, each with the node names and churn
     /// origins it has in the full network.
-    fn instantiate_inner(
-        &self,
-        racks: Range<u32>,
-        shards: Option<usize>,
-    ) -> Result<FctInstance, SimError> {
+    fn instantiate_inner(&self, racks: Range<u32>) -> Result<FctInstance, SimError> {
         let mut b = TopologyBuilder::new();
         let hop = self.rtt / 4;
         let spec = LinkSpec {
@@ -267,10 +259,9 @@ impl FctScenario {
             }
             let qcfg = QueueConfig::switch(self.buffer, self.marking);
             let bottleneck = b.link(sw, sink, spec, qcfg, QueueConfig::host_nic())?;
-            // Chain rack switches with an idle, high-latency trunk so the
-            // graph stays connected but shards can cut between racks.
-            // Only the joined network (the benchmark and the shard path)
-            // has trunks; deleting intra-run sharding deletes them.
+            // Chain rack switches with an idle, high-latency trunk. Only
+            // the joined network has trunks; they stay while the frozen
+            // benchmark's `fct_churn` builds that network.
             if let Some(&prev) = switches.last() {
                 b.link(
                     prev,
@@ -287,13 +278,8 @@ impl FctScenario {
             switches.push(sw);
             bottlenecks.push(bottleneck);
         }
-        let network = b.build()?;
-        let sim = match shards {
-            Some(target) => ShardedSimulator::with_shards(network, target)?,
-            None => ShardedSimulator::new(network)?,
-        };
         Ok(FctInstance {
-            sim,
+            sim: Simulator::new(b.build()?),
             sources,
             sinks,
             switches,
@@ -312,14 +298,14 @@ impl FctScenario {
     /// `Cancelled` for a fired token.
     pub fn run(&self, cancel: Option<CancelToken>) -> Result<FctReport, SimError> {
         self.merge_runs((0..self.racks).map(|r| {
-            let mut instance = self.instantiate_inner(r..r + 1, None)?;
+            let mut instance = self.instantiate_inner(r..r + 1)?;
             instance.sim.set_cancel_token(cancel.clone());
             Ok(instance)
         }))
     }
 
-    /// Runs an already-instantiated scenario (e.g. one built with
-    /// [`FctScenario::instantiate_with_shards`]) and merges results.
+    /// Runs an already-instantiated scenario (e.g. the joined network
+    /// from [`FctScenario::instantiate`]) and merges results.
     ///
     /// # Errors
     ///
@@ -582,21 +568,6 @@ mod tests {
         assert!(p50 > 0.0 && p99 >= p50, "p50 {p50} p99 {p99}");
         assert!(r.goodput_bps > 0.0);
         assert!(r.recycled_receivers > 0, "sink receivers recycled");
-    }
-
-    #[test]
-    fn report_is_identical_across_shard_counts() {
-        let s = quick(MarkingScheme::dt_dctcp_packets(15, 25));
-        let serial = s
-            .run_instance(s.instantiate_with_shards(1).unwrap())
-            .unwrap();
-        for shards in [2usize, 4] {
-            let instance = s.instantiate_with_shards(shards).unwrap();
-            assert!(instance.sim.shard_count() >= 1);
-            let sharded = s.run_instance(instance).unwrap();
-            // Full struct equality: every counter and every sketch bin.
-            assert_eq!(serial, sharded, "shards = {shards}");
-        }
     }
 
     /// The racks share nothing, so simulating them one at a time gives

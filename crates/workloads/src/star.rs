@@ -3,8 +3,8 @@
 
 use dctcp_core::MarkingScheme;
 use dctcp_sim::{
-    Capacity, FaultPlan, FlowId, LinkId, NodeId, QueueConfig, ShardedSimulator, SimDuration,
-    SimError, SimTime, TopologyBuilder,
+    Capacity, FaultPlan, FlowId, LinkId, NodeId, QueueConfig, SimDuration, SimError, SimTime,
+    Simulator, TopologyBuilder,
 };
 use dctcp_stats::{TimeSeries, TimeWeightedSummary, Welford};
 use dctcp_tcp::{ScheduledFlow, TcpConfig, TransportHost};
@@ -34,14 +34,12 @@ pub struct LongLivedScenarioBuilder {
 
 /// An instantiated long-lived scenario: the simulator plus the node and
 /// link handles a harness needs to drive it manually — e.g. to
-/// [`install_faults`](ShardedSimulator::install_faults) before running,
+/// [`install_faults`](Simulator::install_faults) before running,
 /// or to interleave runs with mid-experiment inspection.
 #[derive(Debug)]
 pub struct LongLivedInstance {
-    /// The ready-to-run simulator (no warm-up performed). Serial unless
-    /// `DCTCP_SIM_SHARDS` asks for `N ≥ 2` shards; results are
-    /// bit-identical at any shard count.
-    pub sim: ShardedSimulator,
+    /// The ready-to-run simulator (no warm-up performed).
+    pub sim: Simulator,
     /// The receiver host aggregating all flows.
     pub rx: NodeId,
     /// The bottleneck link (switch → receiver).
@@ -230,7 +228,7 @@ impl LongLivedScenario {
         qcfg.trace_interval = self.trace_interval;
         let bottleneck = b.link(sw, rx, spec, qcfg, QueueConfig::host_nic())?;
         Ok(LongLivedInstance {
-            sim: ShardedSimulator::new(b.build()?)?,
+            sim: Simulator::new(b.build()?),
             rx,
             bottleneck,
             switch: sw,

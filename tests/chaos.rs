@@ -91,8 +91,7 @@ fn chaos_tcp() -> TcpConfig {
 }
 
 /// Queue-level packet conservation: everything that entered either left
-/// or is still waiting. Takes the report pieces rather than a simulator
-/// so both `Simulator` and `ShardedSimulator` runs can use it.
+/// or is still waiting.
 fn assert_queue_conserved(c: dt_dctcp::sim::QueueCounters, waiting: u32) {
     let waiting = u64::from(waiting);
     assert_eq!(

@@ -4,8 +4,8 @@
 
 use dt_dctcp::core::MarkingScheme;
 use dt_dctcp::sim::{
-    Capacity, FaultPlan, FlowId, LinkSpec, NodeId, QueueConfig, SimDuration, SimTime, Simulator,
-    TopologyBuilder,
+    Capacity, FaultPlan, FlowId, LinkId, LinkSpec, NodeId, QueueConfig, QueueCounters, SimDuration,
+    SimTime, Simulator, TopologyBuilder,
 };
 use dt_dctcp::tcp::{ScheduledFlow, TcpConfig, TransportHost};
 use dt_dctcp::trace::{oracle, TraceConfig, TraceLog};
@@ -21,11 +21,13 @@ fn assert_oracle_clean(log: &TraceLog, label: &str) {
     );
 }
 
+/// One finite flow from `tx` through switch `sw` to `rx`; returns the
+/// simulator with `(tx, rx, sw, bottleneck)`.
 fn one_flow_sim(
     tcp: TcpConfig,
     bytes: u64,
     buffer_pkts: u32,
-) -> (Simulator, NodeId, NodeId, dt_dctcp::sim::LinkId) {
+) -> (Simulator, NodeId, NodeId, NodeId, LinkId) {
     let mut b = TopologyBuilder::new();
     let rx = b.host("rx", Box::new(TransportHost::new(tcp)));
     let mut host = TransportHost::new(tcp);
@@ -60,7 +62,7 @@ fn one_flow_sim(
             QueueConfig::host_nic(),
         )
         .unwrap();
-    (Simulator::new(b.build().unwrap()), tx, rx, bottleneck)
+    (Simulator::new(b.build().unwrap()), tx, rx, sw, bottleneck)
 }
 
 fn completion_secs(sim: &Simulator, tx: NodeId) -> Option<f64> {
@@ -73,11 +75,11 @@ fn transfer_recovers_from_a_link_flap() {
     let tcp = TcpConfig::dctcp(1.0 / 16.0).with_rto_min(SimDuration::from_millis(10));
     let bytes = 2 * 1024 * 1024;
 
-    let (mut clean, clean_tx, _, _) = one_flow_sim(tcp, bytes, 200);
+    let (mut clean, clean_tx, _, _, _) = one_flow_sim(tcp, bytes, 200);
     clean.run_for(SimDuration::from_secs(5)).unwrap();
     let clean_ct = completion_secs(&clean, clean_tx).expect("clean run completes");
 
-    let (mut faulty, tx, _, bottleneck) = one_flow_sim(tcp, bytes, 200);
+    let (mut faulty, tx, _, _, bottleneck) = one_flow_sim(tcp, bytes, 200);
     faulty.enable_trace(TraceConfig::all());
     // A 50 ms outage right in the middle of the transfer.
     let plan = FaultPlan::new().flap(
@@ -116,7 +118,7 @@ fn ecn_bleach_fallback_keeps_the_flow_alive() {
     let tcp = TcpConfig::dctcp(1.0 / 16.0)
         .with_rto_min(SimDuration::from_millis(10))
         .with_ecn_fallback(2);
-    let (mut sim, tx, rx, bottleneck) = one_flow_sim(tcp, 4 * 1024 * 1024, 40);
+    let (mut sim, tx, rx, _, bottleneck) = one_flow_sim(tcp, 4 * 1024 * 1024, 40);
     sim.enable_trace(TraceConfig::all());
     // Bleach the bottleneck for the entire run: DCTCP's congestion
     // signal is gone, so the sender must detect it and degrade to
@@ -150,7 +152,7 @@ fn bleach_window_end_restores_ecn_marking() {
     // Bleach only the first 5 ms; after the window closes, marks flow
     // again and DCTCP resumes ECN cuts (no fallback configured).
     let tcp = TcpConfig::dctcp(1.0 / 16.0).with_rto_min(SimDuration::from_millis(10));
-    let (mut sim, tx, _, bottleneck) = one_flow_sim(tcp, 8 * 1024 * 1024, 200);
+    let (mut sim, tx, _, _, bottleneck) = one_flow_sim(tcp, 8 * 1024 * 1024, 200);
     sim.enable_trace(TraceConfig::all());
     let plan = FaultPlan::new().bleach_window(
         bottleneck,
@@ -169,4 +171,75 @@ fn bleach_window_end_restores_ecn_marking() {
         s.stats().ecn_cuts > 0,
         "marking must resume once the bleach window closes"
     );
+}
+
+/// What a run delivered, apart from how many events it took.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    ended_at_ns: u64,
+    bytes_received: u64,
+    segments_sent: u64,
+    bottleneck: QueueCounters,
+}
+
+/// Untraced, the engine schedules a transmit completion only when a
+/// backlog waits on it; traced, it schedules every one, because the log
+/// records each `TxComplete`. With and without a link flap, the elided
+/// completions are exactly the difference, the untraced run dispatches
+/// fewer events, and tracing changes nothing else about the run: the
+/// transfer completes either way, and both outages reach the trace.
+#[test]
+fn untraced_runs_elide_completions_without_changing_results() {
+    let tcp = TcpConfig::dctcp(1.0 / 16.0)
+        .with_rto_min(SimDuration::from_millis(10))
+        .with_max_consecutive_rtos(10);
+    let run = |traced: bool, flap: bool| {
+        let (mut sim, tx, rx, sw, bottleneck) = one_flow_sim(tcp, 512 * 1024, 100);
+        if traced {
+            sim.enable_trace(TraceConfig::all());
+        }
+        if flap {
+            let plan = FaultPlan::new().flap(
+                bottleneck,
+                SimTime::ZERO + SimDuration::from_millis(10),
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(15),
+                2,
+            );
+            sim.install_faults(&plan).unwrap();
+        }
+        sim.run_for(SimDuration::from_secs(6)).unwrap();
+        let log = sim.take_trace();
+        assert_oracle_clean(&log, &format!("traced {traced}, flap {flap}"));
+        if traced {
+            let faults = if flap { 4 } else { 0 };
+            assert_eq!(log.digest().count("fault"), faults, "down + up per outage");
+        }
+        let rx_host: &TransportHost = sim.agent(rx).unwrap();
+        let tx_host: &TransportHost = sim.agent(tx).unwrap();
+        let outcome = Outcome {
+            ended_at_ns: sim.now().as_nanos(),
+            bytes_received: rx_host.receiver(FlowId(1)).unwrap().bytes_received(),
+            segments_sent: tx_host.sender(FlowId(1)).unwrap().stats().segments_sent,
+            bottleneck: sim.queue_report(bottleneck, sw).counters,
+        };
+        (sim.event_counts(), outcome)
+    };
+    for flap in [false, true] {
+        let (lazy, lazy_outcome) = run(false, flap);
+        let (eager, eager_outcome) = run(true, flap);
+        assert!(lazy.tx_elided > 0 && lazy.tx_completions > 0, "{lazy:?}");
+        assert_eq!(eager.tx_elided, 0);
+        assert_eq!(eager.tx_completions, lazy.tx_completions + lazy.tx_elided);
+        assert!(lazy.dispatched() < eager.dispatched());
+        assert_eq!(
+            lazy_outcome.bytes_received,
+            512 * 1024,
+            "flow must complete"
+        );
+        assert_eq!(
+            lazy_outcome, eager_outcome,
+            "tracing changed results (flap {flap})"
+        );
+    }
 }
