@@ -18,8 +18,8 @@
 #                 benchmark/run.sh --quick) + fluid-xval
 #                 gate (DDE model vs packet anchors within committed
 #                 relative-error bands) + supervision gate (quarantine
-#                 exit codes, journal replay, kill -9 mid-matrix
-#                 resume) + fct-parity gate (the million-flow churn
+#                 exit codes, failure replay from the cache, kill -9
+#                 mid-matrix resume) + fct-parity gate (the million-flow churn
 #                 scenario must render byte-identical FCT artifacts at
 #                 1 and 2 repro threads)
 #                 (the merge gate: everything the repo can check)
@@ -167,14 +167,14 @@ cargo run --offline --release -q -p dctcp-scenario --bin fluid_check -- \
     --artifacts artifacts/repro --report artifacts/fluid_xval_report.txt \
     --all scenarios/
 
-echo "==> supervision gate (quarantine exit codes + journal replay + kill -9 resume)"
+echo "==> supervision gate (quarantine exit codes + failure replay + kill -9 resume)"
 # Three smokes over the supervised executor. First: a matrix with one
-# panicking and one wedged (deadline-overrunning) cell must complete
-# *partially* — repro exits 3, the artifact carries a machine-readable
-# `failures` block, and repro_check accepts it with exit 3 (holds, with
-# quarantine skips). Second: re-running that matrix against the same
-# cache replays the panic from the failure journal (the deadline miss
-# is simulated again) and renders the same bytes. Third: a cold run
+# panicking and one wedged (runaway, stopped by the simulator's event
+# budget) cell must complete *partially* — repro exits 3, the artifact
+# carries a machine-readable `failures` block, and repro_check accepts
+# it with exit 3 (holds, with quarantine skips). Second: re-running
+# that matrix against the same cache replays both failures from their
+# cache entries and renders the same bytes. Third: a cold run
 # SIGKILLed mid-matrix must
 # resume from the result cache with zero recomputation of completed
 # cells and render artifacts byte-identical to the uninterrupted cold
@@ -208,7 +208,6 @@ scheme = dctcp
 k = 22 pkts
 
 [limits]
-deadline = 2 s
 inject_panic = boom:2:1
 inject_stall = wedge:2:1
 
@@ -252,8 +251,8 @@ if [ "$REPRO_CODE" -ne 3 ]; then
     echo "ci.sh: replayed partial matrix must exit 3, got $REPRO_CODE" >&2
     exit 1
 fi
-grep -q '(1 replayed from the journal)' "$SUP_DIR/replay.err" || {
-    echo "ci.sh: second run must replay exactly the panicked cell" >&2
+grep -q '(2 replayed from the cache)' "$SUP_DIR/replay.err" || {
+    echo "ci.sh: second run must replay both broken cells" >&2
     exit 1
 }
 diff "$SUP_DIR/art/broken.json" "$SUP_DIR/replay/broken.json"

@@ -50,7 +50,7 @@ pub struct FailureCell {
     pub flows: u32,
     /// Workload seed at the failed point.
     pub seed: u64,
-    /// Failure kind token (`panicked` / `deadline` / `failed`).
+    /// Failure kind token (`panicked` / `failed`).
     pub kind: String,
     /// Human-readable failure message (deterministic: a function of the
     /// scenario configuration and failure site, never of wall time).
@@ -408,8 +408,8 @@ mod tests {
             ),
             failure(
                 "dt-dctcp",
-                "deadline",
-                "exceeded the 30.000s wall-clock deadline",
+                "failed",
+                "event budget of 1250000 exhausted at 0.000625s",
             ),
         ];
         let rendered = a.render();

@@ -22,11 +22,11 @@
 //! it to assert the warm CI pass was served from the cache).
 //!
 //! Execution is *supervised*: each simulated cell runs once, and a
-//! cell that panics, overruns its wall-clock deadline, or fails its
-//! simulation is quarantined into the artifact's `failures` block (and
-//! the cache's failure journal) instead of aborting the run — the rest
-//! of the matrix still completes, and the exit code says how much
-//! survived:
+//! cell that panics or fails its simulation (a runaway cell exhausts
+//! the simulator's event budget) is quarantined into the artifact's
+//! `failures` block (and its cache entry) instead of aborting the run
+//! — the rest of the matrix still completes, and the exit code says
+//! how much survived:
 //!
 //! * `0` — every cell of every scenario produced a point;
 //! * `3` — partial: some cells were quarantined, some succeeded;
@@ -34,9 +34,9 @@
 //! * `1` — invocation or I/O error (bad flags, unreadable scenario,
 //!   unwritable artifact).
 //!
-//! A cached run replays journaled panics and failures instead of
-//! repeating them; a deadline miss is simulated again. To re-run a
-//! replayed cell, clear the cache directory.
+//! A cached run replays cached panics and failures instead of
+//! repeating them. To re-run a replayed cell, clear the cache
+//! directory.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -165,7 +165,7 @@ fn run() -> Result<Outcome, String> {
     }
     if outcome.quarantined > 0 {
         eprintln!(
-            "repro: {} of {} cells quarantined ({} replayed from the journal); \
+            "repro: {} of {} cells quarantined ({} replayed from the cache); \
              artifacts carry a `failures` block",
             outcome.quarantined,
             outcome.points + outcome.quarantined,

@@ -3,7 +3,7 @@
 //! participant count.
 
 use dctcp_cache::KeyBuilder;
-use dctcp_sim::{CancelToken, Capacity, SimDuration, SimError};
+use dctcp_sim::{Capacity, SimDuration, SimError};
 use dctcp_workloads::{run_collective, CollectiveConfig, CollectivePattern};
 
 use super::KindSpec;
@@ -190,11 +190,6 @@ fn workload(doc: &Document) -> Result<CollectiveWorkloadSpec, ScenarioError> {
     Ok(spec)
 }
 
-/// A collective cell simulates at most its workload horizon.
-pub(super) fn simulated_ns(spec: &ScenarioSpec) -> u64 {
-    spec.workload.map_or(100_000_000, |w| w.horizon.as_nanos())
-}
-
 /// The fat-tree (k, tiers, ECMP seed) is key material through the
 /// spec's `topology` field; the workload shape joins it here.
 pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
@@ -202,11 +197,7 @@ pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
         .field("workload", &format!("{:?}", spec.workload));
 }
 
-pub(super) fn run_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<[f64; METRICS.len()], SimError> {
+pub(super) fn run_cell(spec: &ScenarioSpec, cell: &Cell) -> Result<[f64; METRICS.len()], SimError> {
     let TopologySpec::FatTree(f) = spec.topology else {
         unreachable!("collective scenarios parse a fat-tree topology");
     };
@@ -232,7 +223,7 @@ pub(super) fn run_cell(
         buffer: f.buffer,
         ecmp_seed: f.ecmp_seed,
     };
-    let report = run_collective(&cfg, cancel)?;
+    let report = run_collective(&cfg, None)?;
     // An unfinished collective would poison every downstream envelope
     // with sentinel values; surface it as a cell failure instead (the
     // horizon is configuration, so the message is byte-stable).
@@ -306,9 +297,6 @@ k = 20 pkts
         assert_eq!(s.run.seeds, vec![1, 2]);
         // markings × participants × seeds
         assert_eq!(s.num_points(), 4);
-        // The cell deadline derives from the workload horizon (200 ms
-        // × 1000, clamped to the 300 s ceiling).
-        assert_eq!(s.cell_deadline(), SimDuration::from_secs(200));
     }
 
     /// The cheapest collective matrix: one incast cell on a k=4 fabric.

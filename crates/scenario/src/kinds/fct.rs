@@ -3,7 +3,7 @@
 //! every rack bottleneck takes the long-lived dumbbell's parameters.
 
 use dctcp_cache::KeyBuilder;
-use dctcp_sim::{CancelToken, SimDuration, SimError};
+use dctcp_sim::{SimDuration, SimError};
 use dctcp_workloads::FctScenario;
 
 use super::{KindSpec, ScenarioKind};
@@ -159,13 +159,6 @@ fn workload(doc: &Document) -> Result<FctWorkloadSpec, ScenarioError> {
     Ok(spec)
 }
 
-/// An fct cell simulates warmup + measured window + drain.
-pub(super) fn simulated_ns(spec: &ScenarioSpec) -> u64 {
-    spec.run.warmup.as_nanos()
-        + spec.run.duration.as_nanos()
-        + spec.fct.as_ref().map_or(0, |w| w.drain.as_nanos())
-}
-
 /// The churn workload (load, size CDF, racks, slab, class bounds,
 /// deadlines, drain) joins the windows through its exhaustive `Debug`
 /// rendering.
@@ -179,11 +172,7 @@ pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
 /// racks, each rack bottlenecked into its sink by the marking under
 /// test, reduced to per-size-class FCT tails plus the open-loop
 /// conservation counters.
-pub(super) fn run_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<[f64; METRICS.len()], SimError> {
+pub(super) fn run_cell(spec: &ScenarioSpec, cell: &Cell) -> Result<[f64; METRICS.len()], SimError> {
     let TopologySpec::Dumbbell(d) = spec.topology else {
         unreachable!("fct scenarios parse a dumbbell topology");
     };
@@ -219,7 +208,7 @@ pub(super) fn run_cell(
     if let Some(slack) = w.deadline_slack {
         builder = builder.deadline_slack(slack);
     }
-    let report = builder.build()?.run(cancel)?;
+    let report = builder.build()?.run()?;
 
     // An empty size class renders its quantiles as 0 rather than
     // omitting the row — artifacts always carry the kind's full metric
@@ -299,8 +288,6 @@ k = 40 pkts
             panic!("{:?}", s.topology)
         };
         assert_eq!(d.rtt, SimDuration::from_micros(100));
-        // Derived deadline: (2 + 10 + 50) ms of simulated time × 1000.
-        assert_eq!(s.cell_deadline(), SimDuration::from_secs(62));
     }
 
     #[test]
@@ -378,10 +365,10 @@ min = 0
         let spec = ScenarioSpec::parse(FCT).unwrap();
         let mut cell = matrix(&spec).swap_remove(0);
         cell.flows = 7;
-        assert!(run_cell_raw(&spec, &cell, None).is_err());
+        assert!(run_cell_raw(&spec, &cell).is_err());
         let mut sectionless = spec;
         sectionless.fct = None;
         let cell = matrix(&sectionless).swap_remove(0);
-        assert!(run_cell_raw(&sectionless, &cell, None).is_err());
+        assert!(run_cell_raw(&sectionless, &cell).is_err());
     }
 }

@@ -130,10 +130,6 @@ fn fluid_marking(scheme: &MarkingScheme) -> Option<FluidMarking> {
     }
 }
 
-pub(super) fn simulated_ns(spec: &ScenarioSpec) -> u64 {
-    spec.run.warmup.as_nanos() + spec.run.duration.as_nanos()
-}
-
 pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
     kb.field("warmup_ns", &spec.run.warmup.as_nanos().to_string())
         .field("duration_ns", &spec.run.duration.as_nanos().to_string())
@@ -142,9 +138,8 @@ pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
 }
 
 /// Integrates one cell: the DDE at the cell's operating point, reduced
-/// to the kind's metrics. Milliseconds of wall clock per cell, so
-/// cooperative cancellation is not threaded through — the cell finishes
-/// long before any watchdog deadline.
+/// to the kind's metrics. The integrator takes a fixed number of steps
+/// (span / `dt`), so a fluid cell cannot run away.
 pub(super) fn run_cell(spec: &ScenarioSpec, cell: &Cell) -> Result<[f64; METRICS.len()], SimError> {
     let TopologySpec::Dumbbell(d) = spec.topology else {
         unreachable!("fluid scenarios parse a dumbbell topology");
@@ -315,11 +310,11 @@ max_rel_err = 0.5
         let spec = ScenarioSpec::parse(FLUID).unwrap();
         let mut cell = matrix(&spec).swap_remove(0);
         cell.scheme = dctcp_core::MarkingScheme::dctcp_bytes(60_000);
-        assert!(run_cell_raw(&spec, &cell, None).is_err());
+        assert!(run_cell_raw(&spec, &cell).is_err());
 
         let mut reno = spec.clone();
         reno.tcp.cc = dctcp_tcp::CongestionControl::Reno;
         let cell = matrix(&reno).swap_remove(0);
-        assert!(run_cell_raw(&reno, &cell, None).is_err());
+        assert!(run_cell_raw(&reno, &cell).is_err());
     }
 }

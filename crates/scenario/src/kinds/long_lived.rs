@@ -2,7 +2,7 @@
 //! (Figs. 1, 5–8, 10–12), optionally under scripted faults.
 
 use dctcp_cache::KeyBuilder;
-use dctcp_sim::{CancelToken, Capacity, FaultAction, FaultPlan, SimDuration, SimError, SimTime};
+use dctcp_sim::{Capacity, FaultAction, FaultPlan, SimDuration, SimError, SimTime};
 use dctcp_stats::{oscillation, OscillationSummary};
 use dctcp_workloads::LongLivedScenario;
 
@@ -91,10 +91,6 @@ pub(super) fn dumbbell(doc: &Document, kind: ScenarioKind) -> Result<DumbbellSpe
     Ok(spec)
 }
 
-pub(super) fn simulated_ns(spec: &ScenarioSpec) -> u64 {
-    spec.run.warmup.as_nanos() + spec.run.duration.as_nanos()
-}
-
 pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
     kb.field("warmup_ns", &spec.run.warmup.as_nanos().to_string())
         .field("duration_ns", &spec.run.duration.as_nanos().to_string())
@@ -103,11 +99,7 @@ pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
         .field("faults", &format!("{:?}", spec.faults));
 }
 
-pub(super) fn run_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<[f64; METRICS.len()], SimError> {
+pub(super) fn run_cell(spec: &ScenarioSpec, cell: &Cell) -> Result<[f64; METRICS.len()], SimError> {
     let TopologySpec::Dumbbell(d) = spec.topology else {
         unreachable!("long_lived scenarios parse a dumbbell topology");
     };
@@ -124,7 +116,7 @@ pub(super) fn run_cell(
         .start_stagger(spec.run.stagger)
         .build()?;
     let faults = spec.faults;
-    let report = scenario.run_supervised(cancel, |i| {
+    let report = scenario.run_with_faults(|i| {
         let mut plan = FaultPlan::new();
         if let Some((from, until)) = faults.bleach {
             plan = plan.bleach_window(i.bottleneck, SimTime::ZERO + from, SimTime::ZERO + until);

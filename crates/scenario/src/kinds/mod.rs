@@ -2,9 +2,8 @@
 //!
 //! Each kind module owns the keys it accepts in `[topology]`, `[run]`,
 //! `[workload …]` and `[faults]` with their defaults and cross-field
-//! checks (`parse`), the simulated time behind
-//! [`ScenarioSpec::cell_deadline`] (`simulated_ns`), its cache-key
-//! fields (`key`), its metric vocabulary (`METRICS`) and `run_cell`,
+//! checks (`parse`), its cache-key fields (`key`), its metric
+//! vocabulary (`METRICS`) and `run_cell`,
 //! which returns one value per metric in `METRICS` order. This module
 //! dispatches with one `match` per verb: the kind set is closed, so
 //! there is no trait.
@@ -23,7 +22,7 @@ use std::str::FromStr;
 
 use dctcp_cache::KeyBuilder;
 use dctcp_core::MarkingScheme;
-use dctcp_sim::{CancelToken, SimDuration, SimError};
+use dctcp_sim::{SimDuration, SimError};
 
 use crate::parse::{parse_duration, parse_positive_duration, parse_uint_list, Document};
 use crate::parse::{RawEntry, RawSection};
@@ -147,17 +146,6 @@ pub(crate) fn parse(
     }
 }
 
-/// The simulated time one cell spans, in nanoseconds.
-pub(crate) fn simulated_ns(spec: &ScenarioSpec) -> u64 {
-    match spec.kind {
-        ScenarioKind::LongLived => long_lived::simulated_ns(spec),
-        ScenarioKind::Incast | ScenarioKind::PartitionAggregate => query::simulated_ns(spec),
-        ScenarioKind::Collective => collective::simulated_ns(spec),
-        ScenarioKind::Fluid => fluid::simulated_ns(spec),
-        ScenarioKind::Fct => fct::simulated_ns(spec),
-    }
-}
-
 /// Adds the kind's run parameters to a cell's cache-key material.
 pub(crate) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
     match spec.kind {
@@ -171,19 +159,15 @@ pub(crate) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
 
 /// Simulates one cell (no supervision): one value per
 /// [`ScenarioKind::metrics`] name, in that order.
-pub(crate) fn run_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<Vec<f64>, SimError> {
+pub(crate) fn run_cell(spec: &ScenarioSpec, cell: &Cell) -> Result<Vec<f64>, SimError> {
     Ok(match spec.kind {
-        ScenarioKind::LongLived => long_lived::run_cell(spec, cell, cancel)?.to_vec(),
+        ScenarioKind::LongLived => long_lived::run_cell(spec, cell)?.to_vec(),
         ScenarioKind::Incast | ScenarioKind::PartitionAggregate => {
-            query::run_cell(spec, cell, cancel)?.to_vec()
+            query::run_cell(spec, cell)?.to_vec()
         }
-        ScenarioKind::Collective => collective::run_cell(spec, cell, cancel)?.to_vec(),
+        ScenarioKind::Collective => collective::run_cell(spec, cell)?.to_vec(),
         ScenarioKind::Fluid => fluid::run_cell(spec, cell)?.to_vec(),
-        ScenarioKind::Fct => fct::run_cell(spec, cell, cancel)?.to_vec(),
+        ScenarioKind::Fct => fct::run_cell(spec, cell)?.to_vec(),
     })
 }
 

@@ -2,8 +2,8 @@
 //! rounds on the paper's Fig. 13 testbed (Figs. 14, 15).
 
 use dctcp_cache::KeyBuilder;
-use dctcp_sim::{CancelToken, Capacity, SimDuration, SimError};
-use dctcp_workloads::{run_query_rounds_supervised, QueryWorkload, TestbedConfig};
+use dctcp_sim::{Capacity, SimDuration, SimError};
+use dctcp_workloads::{run_query_rounds_with_threads, QueryWorkload, TestbedConfig};
 
 use super::{KindSpec, ScenarioKind};
 use crate::parse::{
@@ -89,22 +89,12 @@ pub(super) fn parse(doc: &Document, kind: ScenarioKind) -> Result<KindSpec, Scen
     Ok(KindSpec::new(TopologySpec::Testbed(testbed), run))
 }
 
-/// Query rounds have no fixed simulated duration: 100 simulated ms per
-/// round.
-pub(super) fn simulated_ns(spec: &ScenarioSpec) -> u64 {
-    u64::from(spec.run.rounds) * 100_000_000
-}
-
 pub(super) fn key(spec: &ScenarioSpec, kb: &mut KeyBuilder) {
     kb.field("rounds", &spec.run.rounds.to_string())
         .field("bytes", &spec.run.bytes.to_string());
 }
 
-pub(super) fn run_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<[f64; METRICS.len()], SimError> {
+pub(super) fn run_cell(spec: &ScenarioSpec, cell: &Cell) -> Result<[f64; METRICS.len()], SimError> {
     let TopologySpec::Testbed(t) = spec.topology else {
         unreachable!("query scenarios parse a testbed topology");
     };
@@ -130,7 +120,7 @@ pub(super) fn run_cell(
 
     // The outer matrix already saturates the worker pool; run the
     // rounds of one cell serially to keep the fan-out single-level.
-    let report = run_query_rounds_supervised(&cfg, &wl, 1, cancel)?;
+    let report = run_query_rounds_with_threads(&cfg, &wl, 1)?;
 
     let mut q = report.completions();
     let in_ms = |v: Option<f64>| v.map_or(0.0, |s| s * 1e3);

@@ -13,12 +13,13 @@
 //!   run over unchanged scenarios and unchanged code re-simulates
 //!   nothing yet renders byte-identical artifacts. Execution is also
 //!   *supervised* ([`run_scenario_supervised`]): each cell runs once,
-//!   under panic isolation and a per-cell wall-clock deadline (the
-//!   `[limits]` section), and a broken cell is quarantined into the
-//!   artifact's `failures` block instead of killing the run.
-//!   Because workers persist each finished cell immediately, a run
-//!   killed mid-matrix — even with `kill -9` — resumes from the cache
-//!   with zero recomputation.
+//!   under panic isolation and the simulator's derived event budget,
+//!   and a broken cell is quarantined into the artifact's `failures`
+//!   block instead of killing the run. A failure is as deterministic
+//!   as a result, so it is cached and replayed like one. Because
+//!   workers persist each finished cell immediately, a run killed
+//!   mid-matrix — even with `kill -9` — resumes from the cache with
+//!   zero recomputation.
 //! * `repro_check` re-parses the scenario, loads the artifact and
 //!   verifies every envelope, failing CI when a change pushes the
 //!   simulated system outside the paper's claims. Envelopes touching a
@@ -32,11 +33,11 @@
 //!
 //! Internally, `spec` parses the sections every [`ScenarioKind`] shares
 //! (`[scenario]`, `[transport]`, `[marking]`, `[limits]`, `[expect]`,
-//! `[xval]`) and `runner` owns the cache, journal and supervision.
-//! Everything that depends on the kind — its `[topology]`, `[run]`,
-//! `[workload …]` and `[faults]` keys and defaults, its deadline
-//! budget, cache-key fields, metric names and cell runner — lives in
-//! one file per kind under `kinds/`.
+//! `[xval]`) and `runner` owns the cache and supervision. Everything
+//! that depends on the kind — its `[topology]`, `[run]`,
+//! `[workload …]` and `[faults]` keys and defaults, cache-key fields,
+//! metric names and cell runner — lives in one file per kind under
+//! `kinds/`.
 
 #![warn(missing_docs)]
 

@@ -2,13 +2,13 @@
 //! artifact.
 //!
 //! The executor is *incremental*: each (marking, flows, seed) cell is a
-//! fully deterministic simulation, so its result is memoized in an
+//! fully deterministic simulation, so its outcome is memoized in an
 //! optional [`dctcp_cache::Cache`] under a content address derived from
 //! the resolved cell configuration and the workspace code fingerprint
 //! (see [`cell_key`] internals). A run first partitions the matrix into
-//! cache hits, journal-replayed quarantines and misses, then fans only
-//! the misses out through [`dctcp_parallel::par_map`] one cell per work
-//! item. Results are reassembled by cell index, so artifacts are
+//! cache hits, replayed failures and misses, then fans only the misses
+//! out through [`dctcp_parallel::par_map`] one cell per work item.
+//! Results are reassembled by cell index, so artifacts are
 //! bit-identical for any thread count *and* any hit/miss split — a warm
 //! run re-renders the exact bytes of the cold run that populated the
 //! cache.
@@ -18,33 +18,28 @@
 //!
 //! * each miss runs exactly once, under [`dctcp_parallel::run_isolated`],
 //!   so a panic becomes a typed [`CellError::Panicked`] value;
-//! * a watchdog thread fires each running cell's [`CancelToken`] at its
-//!   wall-clock deadline, which the simulator's cooperative
-//!   cancellation poll turns into [`CellError::DeadlineExceeded`];
-//! * a failed cell is quarantined into the artifact's `failures` block
-//!   and recorded in the cache directory's journal, so a resumed run
-//!   replays deterministic failures instead of repeating them. There is
-//!   no retry: a cell is a pure function of its key material, so a
-//!   panic or a typed failure recurs on every attempt, and a deadline
-//!   miss is re-run by the next invocation.
+//! * a cell that would run forever exhausts the simulator's event
+//!   budget, which every `run_until` call derives from the network's
+//!   link rates and the span it covers, and becomes a
+//!   [`CellError::Failed`] like any other simulation error;
+//! * a failed cell is quarantined into the artifact's `failures` block.
+//!   Its failure is as much a pure function of the key material as a
+//!   result, so it is stored in the cell's cache entry and replayed,
+//!   never re-run, by the next invocation.
 //!
-//! Crash consistency: each cell's result is written to the cache (and
-//! each quarantine to the journal) *by the worker that produced it*,
-//! the moment it exists. A run killed mid-matrix — even with `kill -9`
-//! — resumes with every completed cell served from the cache.
-//!
-//! [`CancelToken`]: dctcp_sim::CancelToken
+//! Crash consistency: each cell's outcome is written to the cache *by
+//! the worker that produced it*, the moment it exists. A run killed
+//! mid-matrix — even with `kill -9` — resumes with every completed cell
+//! served from the cache.
 
-use std::time::Duration;
-
-use dctcp_cache::{Cache, CacheKey, FailureRecord, Journal, KeyBuilder};
+use dctcp_cache::{Cache, CacheKey, Entry, KeyBuilder};
 use dctcp_parallel::{par_map, run_isolated};
-use dctcp_sim::{CancelToken, SimError, SimTime};
+use dctcp_sim::SimError;
 
 use crate::artifact::{Artifact, FailureCell, Point, ARTIFACT_SCHEMA};
 use crate::kinds;
 use crate::spec::{InjectFault, ScenarioSpec};
-use crate::supervise::{CellError, Watchdog};
+use crate::supervise::{run_runaway, CellError};
 use crate::ScenarioKind;
 
 /// One (marking, flows, seed) cell awaiting execution.
@@ -91,28 +86,25 @@ pub struct CacheStats {
     pub misses: usize,
     /// Cells carried in the artifact's `failures` block.
     pub quarantined: usize,
-    /// Quarantined cells replayed from the failure journal instead of
-    /// being re-executed (always ≤ `quarantined`).
+    /// Quarantined cells whose failure was replayed from the cache
+    /// instead of being re-executed (always ≤ `quarantined`).
     pub replayed: usize,
 }
 
-/// One resolved matrix slot: a measured point or a quarantined failure.
-enum Slot {
-    Point(Point),
-    Failure(FailureCell),
-}
+/// One resolved matrix cell: its metrics, or its failure kind and
+/// message.
+type Outcome = Result<Vec<(String, f64)>, (String, String)>;
 
 /// Runs a scenario's matrix under full supervision: an optional
-/// content-addressed result cache serves completed cells, a failure
-/// journal replays deterministic quarantines, and every miss executes
-/// once under panic isolation and a wall-clock deadline (see the module
-/// docs). This function never fails — broken cells land in the
-/// artifact's `failures` block and the remaining matrix still produces
-/// its points.
+/// content-addressed result cache serves completed cells and replays
+/// failed ones, and every miss executes once under panic isolation (see
+/// the module docs). This function never fails — broken cells land in
+/// the artifact's `failures` block and the remaining matrix still
+/// produces its points.
 ///
-/// Cache and journal writes are best-effort (a failed write only costs
-/// a future re-run); corrupt or mismatched entries read as misses and
-/// are recomputed and repaired.
+/// Cache writes are best-effort (a failed write only costs a future
+/// re-run); corrupt or mismatched entries read as misses and are
+/// recomputed and repaired.
 pub fn run_scenario_supervised(
     spec: &ScenarioSpec,
     threads: usize,
@@ -124,111 +116,70 @@ pub fn run_scenario_supervised(
         threads
     };
     let cells = matrix(spec);
-    let journal = cache.map(|c| Journal::in_cache_root(c.root()));
-    let journaled = journal
-        .as_ref()
-        .map(Journal::load_failures)
-        .unwrap_or_default();
 
-    // Partition into hits and journal replays (both resolved
+    // Partition into hits and replayed failures (both resolved
     // immediately) and misses (executed below). Hit metrics must carry
     // exactly the kind's metric names — anything else is treated as
-    // corruption and recomputed. A journaled failure is replayed only
-    // when it is deterministic; a deadline miss runs again.
+    // corruption and recomputed.
     let fingerprint = dctcp_cache::code_fingerprint();
-    let mut slots: Vec<Option<Slot>> = cells.iter().map(|_| None).collect();
+    let mut outcomes: Vec<Option<Outcome>> = cells.iter().map(|_| None).collect();
     let mut stats = CacheStats::default();
-    let mut misses: Vec<(usize, Cell, Option<CacheKey>)> = Vec::new();
-    for (idx, cell) in cells.into_iter().enumerate() {
-        let key = cache.map(|_| cell_key(spec, &cell, fingerprint));
-        let hit = cache
-            .zip(key)
-            .and_then(|(c, k)| c.get(k))
-            .filter(|metrics| metric_names_match(spec.kind, metrics));
-        if let Some(metrics) = hit {
-            stats.hits += 1;
-            slots[idx] = Some(Slot::Point(Point {
-                marking: cell.label,
-                flows: cell.flows,
-                seed: cell.seed,
-                metrics,
-            }));
-            continue;
-        }
-        if let Some(rec) = key.and_then(|k| journaled.get(&k)) {
-            if CellError::kind_is_deterministic(&rec.kind) {
-                stats.quarantined += 1;
-                stats.replayed += 1;
-                slots[idx] = Some(Slot::Failure(FailureCell {
-                    marking: cell.label,
-                    flows: cell.flows,
-                    seed: cell.seed,
-                    kind: rec.kind.clone(),
-                    msg: rec.msg.clone(),
-                }));
-                continue;
+    let mut misses: Vec<(usize, Option<CacheKey>)> = Vec::new();
+    for (idx, cell) in cells.iter().enumerate() {
+        let key = cache.map(|_| cell_key(spec, cell, fingerprint));
+        match cache.zip(key).and_then(|(c, k)| c.get(k)) {
+            Some(Entry::Metrics(metrics)) if metric_names_match(spec.kind, &metrics) => {
+                stats.hits += 1;
+                outcomes[idx] = Some(Ok(metrics));
             }
+            Some(Entry::Failed { kind, msg }) => {
+                stats.replayed += 1;
+                outcomes[idx] = Some(Err((kind, msg)));
+            }
+            _ => misses.push((idx, key)),
         }
-        misses.push((idx, cell, key));
     }
     stats.misses = misses.len();
 
     // One cell per work item: the pool's shared counter load-balances
-    // at cell granularity, and a wedged cell occupies exactly one
-    // worker until the watchdog cancels it. Workers persist their own
-    // results the moment they exist (crash consistency — see module
-    // docs), so completion order never matters.
-    let deadline = Duration::from_nanos(spec.cell_deadline().as_nanos());
-    let computed = if misses.is_empty() {
-        // Fully warm run: don't pay for the watchdog thread when there
-        // is nothing to supervise.
-        Vec::new()
-    } else {
-        let watchdog = Watchdog::start();
-        par_map(misses, threads, |_, (idx, cell, key)| {
-            let outcome = run_supervised_cell(
-                spec,
-                &cell,
-                key,
-                cache,
-                journal.as_ref(),
-                &watchdog,
-                deadline,
-            );
-            (idx, cell, outcome)
-        })
-    };
-    for (idx, cell, outcome) in computed {
-        match outcome {
-            Ok(metrics) => {
-                slots[idx] = Some(Slot::Point(Point {
-                    marking: cell.label,
-                    flows: cell.flows,
-                    seed: cell.seed,
-                    metrics,
-                }));
-            }
-            Err(e) => {
-                stats.quarantined += 1;
-                slots[idx] = Some(Slot::Failure(FailureCell {
-                    marking: cell.label,
-                    flows: cell.flows,
-                    seed: cell.seed,
-                    kind: e.kind().into(),
-                    msg: e.to_string(),
-                }));
-            }
+    // at cell granularity. Workers persist their own outcomes the
+    // moment they exist (crash consistency — see module docs), so
+    // completion order never matters.
+    let computed = par_map(misses, threads, |_, (idx, key)| {
+        let outcome =
+            run_attempt(spec, &cells[idx]).map_err(|e| (e.kind().to_string(), e.to_string()));
+        if let (Some(cache), Some(key)) = (cache, key) {
+            let _ = match &outcome {
+                Ok(metrics) => cache.put(key, metrics),
+                Err((kind, msg)) => cache.put_failure(key, kind, msg),
+            };
         }
+        (idx, outcome)
+    });
+    for (idx, outcome) in computed {
+        outcomes[idx] = Some(outcome);
     }
 
     let mut points = Vec::new();
     let mut failures = Vec::new();
-    for slot in slots {
-        match slot.expect("every cell is a hit, a replayed failure, or a computed miss") {
-            Slot::Point(p) => points.push(p),
-            Slot::Failure(f) => failures.push(f),
+    for (cell, outcome) in cells.into_iter().zip(outcomes) {
+        match outcome.expect("every cell is a hit, a replayed failure, or a computed miss") {
+            Ok(metrics) => points.push(Point {
+                marking: cell.label,
+                flows: cell.flows,
+                seed: cell.seed,
+                metrics,
+            }),
+            Err((kind, msg)) => failures.push(FailureCell {
+                marking: cell.label,
+                flows: cell.flows,
+                seed: cell.seed,
+                kind,
+                msg,
+            }),
         }
     }
+    stats.quarantined = failures.len();
     (
         Artifact {
             scenario: spec.name.clone(),
@@ -240,73 +191,21 @@ pub fn run_scenario_supervised(
     )
 }
 
-/// Executes one miss under supervision: one isolated, deadline-watched
-/// attempt. On success the metrics are stored in the cache; on failure
-/// the error is journaled.
-fn run_supervised_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    key: Option<CacheKey>,
-    cache: Option<&Cache>,
-    journal: Option<&Journal>,
-    watchdog: &Watchdog,
-    deadline: Duration,
-) -> Result<Vec<(String, f64)>, CellError> {
-    let outcome = run_attempt(spec, cell, watchdog, deadline);
-    match &outcome {
-        Ok(metrics) => {
-            if let (Some(cache), Some(key)) = (cache, key) {
-                let _ = cache.put(key, metrics);
-            }
-        }
-        Err(error) => {
-            if let (Some(journal), Some(key)) = (journal, key) {
-                let _ = journal.append_failure(&FailureRecord {
-                    key,
-                    kind: error.kind().into(),
-                    msg: error.to_string(),
-                });
-            }
-        }
-    }
-    outcome
-}
-
-/// One isolated, deadline-supervised execution of a cell, with any
-/// configured `[limits]` fault injection applied first.
-fn run_attempt(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    watchdog: &Watchdog,
-    deadline: Duration,
-) -> Result<Vec<(String, f64)>, CellError> {
+/// One isolated execution of a cell, with any configured `[limits]`
+/// fault injection applied first.
+fn run_attempt(spec: &ScenarioSpec, cell: &Cell) -> Result<Vec<(String, f64)>, CellError> {
     let inject = spec
         .limits
         .injection_for(&cell.label, cell.flows, cell.seed);
-    let token = CancelToken::new();
-    let _guard = watchdog.register(deadline, token.clone());
-    let sim_token = token.clone();
-    let outcome = run_isolated(move || -> Result<Vec<(String, f64)>, SimError> {
-        match inject {
-            Some(InjectFault::Panic) => panic!("injected panic via [limits] inject_panic"),
-            Some(InjectFault::Stall) => {
-                // A wedged cell: burn wall-clock, never events, until
-                // the watchdog fires — exactly what a livelocked
-                // simulation looks like from the supervisor's seat.
-                while !sim_token.is_cancelled() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                return Err(SimError::Cancelled { at: SimTime::ZERO });
-            }
-            None => {}
+    let outcome = run_isolated(|| match inject {
+        Some(InjectFault::Panic) => panic!("injected panic via [limits] inject_panic"),
+        Some(InjectFault::Stall) => {
+            Err(run_runaway().expect_err("a runaway exhausts its event budget"))
         }
-        run_cell_raw(spec, cell, Some(sim_token))
+        None => run_cell_raw(spec, cell),
     });
     match outcome {
         Err(panic) => Err(CellError::Panicked { msg: panic.message }),
-        Ok(Err(SimError::Cancelled { .. })) => Err(CellError::DeadlineExceeded {
-            deadline: spec.cell_deadline(),
-        }),
         Ok(Err(e)) => Err(CellError::Failed { msg: e.to_string() }),
         Ok(Ok(metrics)) => Ok(metrics),
     }
@@ -331,8 +230,7 @@ pub(crate) fn cell_key(spec: &ScenarioSpec, cell: &Cell, fingerprint: &str) -> C
         .field("flows", &cell.flows.to_string())
         .field("seed", &cell.seed.to_string())
         // A fault injection changes what the cell *does*, so it is key
-        // material even though the deadline (which only changes how
-        // failures are handled) is not.
+        // material.
         .field(
             "inject",
             spec.limits
@@ -356,9 +254,8 @@ fn metric_names_match(kind: ScenarioKind, metrics: &[(String, f64)]) -> bool {
 pub(crate) fn run_cell_raw(
     spec: &ScenarioSpec,
     cell: &Cell,
-    cancel: Option<CancelToken>,
 ) -> Result<Vec<(String, f64)>, SimError> {
-    let values = kinds::run_cell(spec, cell, cancel)?;
+    let values = kinds::run_cell(spec, cell)?;
     Ok(spec
         .kind
         .metrics()
@@ -534,41 +431,36 @@ k2 = 25 pkts
         assert_eq!((s.quarantined, s.replayed), (1, 0));
     }
 
-    /// A stalled `dctcp` cell next to a healthy `dt` one. The stalled
-    /// cell sleeps until cancelled, so the deadline costs no CPU; it is
-    /// 2 s (not tens of ms) so the healthy cell — a few ms of work —
-    /// cannot miss it too when the whole test suite shares two cores.
-    fn stalled_cell_spec() -> ScenarioSpec {
-        two_cell_spec_with("deadline = 2 s\ninject_stall = dctcp:2:1\n")
+    /// A runaway `dctcp` cell next to a healthy `dt` one.
+    fn runaway_cell_spec() -> ScenarioSpec {
+        two_cell_spec_with("inject_stall = dctcp:2:1\n")
     }
 
     #[test]
-    fn deadline_trips_quarantine_with_config_only_message() {
-        let spec = stalled_cell_spec();
-        let (a, s) = run_scenario_supervised(&spec, 2, None);
+    fn runaway_cells_fail_on_the_event_budget() {
+        let (a, s) = run_scenario_supervised(&runaway_cell_spec(), 2, None);
         assert_eq!(a.points.len(), 1);
         assert_eq!(a.failures.len(), 1);
         let f = &a.failures[0];
-        assert_eq!(f.kind, "deadline");
-        // The message is derived from the configured deadline, never
-        // from measured wall time, so it is byte-stable across runs.
-        let expected = CellError::DeadlineExceeded {
-            deadline: spec.cell_deadline(),
-        };
-        assert_eq!(f.msg, expected.to_string());
+        assert_eq!(f.kind, "failed");
+        // The simulator's own message: a function of the budget rule
+        // alone, so it is byte-stable across runs and machines.
+        assert_eq!(f.msg, run_runaway().unwrap_err().to_string());
+        assert!(f.msg.starts_with("event budget of "), "{}", f.msg);
         assert_eq!(s.quarantined, 1);
     }
 
     #[test]
-    fn journal_replays_deterministic_failures_on_resume() {
+    fn cached_failures_replay_on_resume() {
         let spec = two_cell_spec_with("inject_panic = dt:2:1\n");
-        let cache = tmp_cache("journal");
+        let cache = tmp_cache("replay");
 
         let (cold, s) = run_scenario_supervised(&spec, 2, Some(&cache));
         assert_eq!((s.hits, s.misses, s.quarantined, s.replayed), (0, 2, 1, 0));
 
-        // The resume serves the good cell from the cache and the broken
-        // cell from the journal — nothing re-executes, bytes match.
+        // The resume serves the good cell's metrics and the broken
+        // cell's failure from the cache — nothing re-executes, bytes
+        // match.
         let (warm, s) = run_scenario_supervised(&spec, 2, Some(&cache));
         assert_eq!((s.hits, s.misses, s.quarantined, s.replayed), (1, 0, 1, 1));
         assert_eq!(warm.render(), cold.render());
@@ -576,18 +468,57 @@ k2 = 25 pkts
     }
 
     #[test]
-    fn deadline_failures_are_never_replayed() {
-        // A deadline miss depends on machine speed, so resumes re-run
-        // the cell instead of trusting the journal.
-        let spec = stalled_cell_spec();
-        let cache = tmp_cache("deadline");
+    fn runaway_failures_replay_from_the_cache() {
+        let spec = runaway_cell_spec();
+        let cache = tmp_cache("runaway");
 
         let (cold, s) = run_scenario_supervised(&spec, 2, Some(&cache));
         assert_eq!((s.misses, s.quarantined, s.replayed), (2, 1, 0));
 
         let (warm, s) = run_scenario_supervised(&spec, 2, Some(&cache));
-        assert_eq!((s.hits, s.misses, s.replayed), (1, 1, 0));
+        assert_eq!((s.hits, s.misses, s.replayed), (1, 0, 1));
         assert_eq!(warm.render(), cold.render());
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn damaged_failure_entries_rerun_their_cell() {
+        let spec = two_cell_spec_with("inject_panic = dt:2:1\n");
+        let cache = tmp_cache("damaged");
+        let (cold, _) = run_scenario_supervised(&spec, 2, Some(&cache));
+        let dt = matrix(&spec).swap_remove(1);
+        let path = cache.root().join(format!(
+            "{}.cell",
+            cell_key(&spec, &dt, dctcp_cache::code_fingerprint()).hex()
+        ));
+        let entry = std::fs::read_to_string(&path).unwrap();
+        assert!(entry.contains("\nfailed panicked "), "{entry}");
+
+        let mut flipped = entry.clone().into_bytes();
+        let at = flipped.iter().position(|&b| b == b'j').unwrap();
+        flipped[at] ^= 0x01;
+        // An older binary's entry keeps an honest checksum.
+        let older = entry.replace(dctcp_cache::ENTRY_SCHEMA, "dctcp-cache/v1");
+        let sum_at = older.rfind("sum ").unwrap();
+        let mut h = dctcp_cache::Fnv128::new();
+        h.update(&older.as_bytes()[..sum_at]);
+        let older = format!("{}sum {:032x}\n", &older[..sum_at], h.finish());
+        // Torn by a kill mid-write, bit-flipped, or written by an older
+        // binary: each reads as a miss, the cell runs again and its
+        // rewritten entry replays on the next run.
+        for damaged in [
+            entry.as_bytes()[..entry.len() / 2].to_vec(),
+            flipped,
+            older.into_bytes(),
+        ] {
+            std::fs::write(&path, damaged).unwrap();
+            let (again, s) = run_scenario_supervised(&spec, 2, Some(&cache));
+            assert_eq!((s.hits, s.misses, s.replayed), (1, 1, 0));
+            assert_eq!(again.render(), cold.render());
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), entry);
+            let (_, s) = run_scenario_supervised(&spec, 2, Some(&cache));
+            assert_eq!((s.hits, s.misses, s.replayed), (1, 0, 1));
+        }
         let _ = std::fs::remove_dir_all(cache.root());
     }
 

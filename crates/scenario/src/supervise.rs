@@ -1,25 +1,22 @@
 //! Failure domains for supervised cell execution.
 //!
-//! One matrix cell is the unit of isolation: a cell that panics, hangs
-//! past its wall-clock deadline, or fails its simulation is converted
-//! into a typed [`CellError`] carried in the artifact's `failures`
-//! block instead of taking down the run. The [`Watchdog`] is the only
-//! wall-clock authority — workers never time themselves; a background
-//! thread fires each running cell's [`CancelToken`] once its deadline
-//! passes, and the simulator's cooperative cancellation poll turns that
-//! into a deterministic stop.
+//! One matrix cell is the unit of isolation: a cell that panics or
+//! fails its simulation is converted into a typed [`CellError`] carried
+//! in the artifact's `failures` block instead of taking down the run.
+//! Nothing here reads a clock. A cell that would run forever is stopped
+//! by the simulator's own event budget, derived from the cell's links
+//! and simulated span, and fails like any other simulation error.
 //!
 //! Every [`CellError`] message is a function of the scenario
-//! configuration and the panic site alone — never of measured wall
-//! time — so artifacts stay byte-identical across machines, runs and
-//! resumes.
+//! configuration and the panic site alone, so a failure is as
+//! deterministic as a result: it is stored in the cell's cache entry
+//! and replayed on the next run, and artifacts stay byte-identical
+//! across machines, runs and resumes.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-use dctcp_sim::{CancelToken, SimDuration};
+use dctcp_sim::{
+    Agent, Context, LinkSpec, Packet, QueueConfig, SimDuration, SimError, Simulator, TimerToken,
+    TopologyBuilder,
+};
 
 /// Why one matrix cell was quarantined.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,12 +26,8 @@ pub enum CellError {
         /// The panic message.
         msg: String,
     },
-    /// The supervisor cancelled the cell at its wall-clock deadline.
-    DeadlineExceeded {
-        /// The configured (or derived) deadline.
-        deadline: SimDuration,
-    },
-    /// The simulation returned a typed error.
+    /// The simulation returned a typed error, including a runaway
+    /// stopped by its event budget.
     Failed {
         /// The rendered simulator error.
         msg: String,
@@ -42,30 +35,13 @@ pub enum CellError {
 }
 
 impl CellError {
-    /// Stable one-token failure kind, used in the journal line grammar
-    /// and the artifact's `failures` block.
+    /// Stable one-token failure kind, used in the cache entry and the
+    /// artifact's `failures` block.
     pub fn kind(&self) -> &'static str {
         match self {
             CellError::Panicked { .. } => "panicked",
-            CellError::DeadlineExceeded { .. } => "deadline",
             CellError::Failed { .. } => "failed",
         }
-    }
-
-    /// Whether hitting this error again is guaranteed on re-execution.
-    /// Deterministic failures are replayed from the journal on resume;
-    /// a deadline miss depends on machine speed, so the next run
-    /// executes the cell again.
-    pub fn is_deterministic(&self) -> bool {
-        Self::kind_is_deterministic(self.kind())
-    }
-
-    /// Whether `kind` (as recorded in a journal) names a deterministic
-    /// failure — the load-time counterpart of [`is_deterministic`].
-    ///
-    /// [`is_deterministic`]: CellError::is_deterministic
-    pub fn kind_is_deterministic(kind: &str) -> bool {
-        matches!(kind, "panicked" | "failed")
     }
 }
 
@@ -73,105 +49,48 @@ impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CellError::Panicked { msg } => write!(f, "panicked: {msg}"),
-            CellError::DeadlineExceeded { deadline } => {
-                write!(f, "exceeded the {deadline} wall-clock deadline")
-            }
             CellError::Failed { msg } => write!(f, "{msg}"),
         }
     }
 }
 
-/// How often the watchdog thread scans for expired deadlines. Cells run
-/// for seconds; a few milliseconds of cancellation latency is noise.
-const WATCHDOG_POLL: Duration = Duration::from_millis(5);
-
-/// One supervised attempt: when it started, how long it may run, and
-/// the token to fire once the deadline passes.
-type Registry = Arc<Mutex<HashMap<u64, (Instant, Duration, CancelToken)>>>;
-
-/// A background deadline enforcer for in-flight cells.
-///
-/// Workers [`register`](Watchdog::register) a cell's cancel token with
-/// its deadline before each attempt; the watchdog thread fires the
-/// token once the deadline passes. The returned [`DeadlineGuard`]
-/// deregisters on drop, so a finished attempt can never be cancelled
-/// retroactively.
+/// Re-arms a 1 ns timer from every callback: the clock advances, so no
+/// livelock trips, and the run ends only at its event budget.
 #[derive(Debug)]
-pub(crate) struct Watchdog {
-    registry: Registry,
-    shutdown: Arc<AtomicBool>,
-    next_id: AtomicU64,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
+struct Runaway;
 
-impl Watchdog {
-    /// Starts the watchdog thread.
-    pub(crate) fn start() -> Watchdog {
-        let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let registry = Arc::clone(&registry);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Acquire) {
-                    {
-                        let guard = registry.lock().unwrap_or_else(|e| e.into_inner());
-                        for (started, deadline, token) in guard.values() {
-                            if started.elapsed() >= *deadline {
-                                token.cancel();
-                            }
-                        }
-                    }
-                    std::thread::sleep(WATCHDOG_POLL);
-                }
-            })
-        };
-        Watchdog {
-            registry,
-            shutdown,
-            next_id: AtomicU64::new(0),
-            thread: Some(thread),
-        }
+impl Agent for Runaway {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_nanos(1));
     }
-
-    /// Puts one attempt under deadline supervision. The clock starts
-    /// now; the token fires once `deadline` has elapsed.
-    pub(crate) fn register(&self, deadline: Duration, token: CancelToken) -> DeadlineGuard {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, (Instant::now(), deadline, token));
-        DeadlineGuard {
-            registry: Arc::clone(&self.registry),
-            id,
-        }
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Context<'_>) {}
+    fn on_timer(&mut self, _token: TimerToken, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_nanos(1));
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
     }
 }
 
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Deregisters a supervised attempt when dropped.
-#[derive(Debug)]
-pub(crate) struct DeadlineGuard {
-    registry: Registry,
-    id: u64,
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        self.registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.id);
-    }
+/// The `[limits] inject_stall` fault: a runaway agent at each end of
+/// one 1 Gb/s link, run for 10 ms of simulated time. They exhaust the
+/// simulator's budget of 1.25 M events, so the cell fails the same way,
+/// with the same message, on every machine.
+pub(crate) fn run_runaway() -> Result<(), SimError> {
+    let mut b = TopologyBuilder::new();
+    let a = b.host("a", Box::new(Runaway));
+    let z = b.host("z", Box::new(Runaway));
+    b.link(
+        a,
+        z,
+        LinkSpec::gbps(1.0, 1),
+        QueueConfig::host_nic(),
+        QueueConfig::host_nic(),
+    )?;
+    Simulator::new(b.build()?).run_for(SimDuration::from_millis(10))
 }
 
 #[cfg(test)]
@@ -179,58 +98,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_round_trip_and_classify() {
-        let errors = [
-            (CellError::Panicked { msg: "boom".into() }, true),
-            (
-                CellError::DeadlineExceeded {
-                    deadline: SimDuration::from_secs(30),
-                },
-                false,
-            ),
-            (CellError::Failed { msg: "sim".into() }, true),
-        ];
-        for (e, deterministic) in &errors {
-            assert_eq!(e.is_deterministic(), *deterministic, "{e}");
-        }
-        // Unknown journal tokens are conservatively non-deterministic
-        // (re-run rather than replay).
-        assert!(!CellError::kind_is_deterministic("mystery"));
-    }
-
-    #[test]
-    fn deadline_message_depends_only_on_config() {
-        let e = CellError::DeadlineExceeded {
-            deadline: SimDuration::from_secs(30),
-        };
-        // No measured wall-clock values — byte-identical everywhere.
-        assert_eq!(e.to_string(), "exceeded the 30.000s wall-clock deadline");
-    }
-
-    #[test]
-    fn watchdog_fires_expired_deadlines_only() {
-        let w = Watchdog::start();
-        let fast = CancelToken::new();
-        let slow = CancelToken::new();
-        let _g1 = w.register(Duration::from_millis(1), fast.clone());
-        let _g2 = w.register(Duration::from_secs(3600), slow.clone());
-        let start = Instant::now();
-        while !fast.is_cancelled() && start.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(fast.is_cancelled(), "expired deadline must fire");
-        assert!(!slow.is_cancelled(), "live deadline must not fire");
-    }
-
-    #[test]
-    fn dropping_the_guard_stops_supervision() {
-        let w = Watchdog::start();
-        let token = CancelToken::new();
-        drop(w.register(Duration::from_millis(1), token.clone()));
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            !token.is_cancelled(),
-            "a deregistered attempt must never be cancelled"
+    fn kinds_are_stable_tokens() {
+        assert_eq!(
+            CellError::Panicked { msg: "boom".into() }.kind(),
+            "panicked"
         );
+        assert_eq!(CellError::Failed { msg: "sim".into() }.kind(), "failed");
+    }
+
+    #[test]
+    fn runaway_fails_on_the_event_budget() {
+        let err = run_runaway().unwrap_err();
+        assert!(
+            matches!(err, SimError::EventBudgetExhausted { .. }),
+            "{err:?}"
+        );
+        assert_eq!(err, run_runaway().unwrap_err(), "deterministic");
     }
 }

@@ -208,8 +208,8 @@ fn repro_rejects_bad_scenarios_with_line_numbers() {
 }
 
 /// Three-cell matrix with one healthy, one panicking and one wedged
-/// (deadline-overrunning) cell, plus one envelope scoped to the healthy
-/// marking and one global envelope.
+/// (runaway, stopped by the event budget) cell, plus one envelope
+/// scoped to the healthy marking and one global envelope.
 const PARTIAL_SCN: &str = "\
 [scenario]
 name = cli_partial
@@ -237,7 +237,6 @@ scheme = dctcp
 k = 22 pkts
 
 [limits]
-deadline = 2 s
 inject_panic = boom:2:1
 inject_stall = wedge:2:1
 
@@ -277,7 +276,7 @@ fn broken_cells_quarantine_into_a_partial_run() {
         "{body}"
     );
     assert!(
-        body.contains("\"error\": \"deadline\", \"marking\": \"wedge\""),
+        body.contains("\"error\": \"failed\", \"marking\": \"wedge\""),
         "{body}"
     );
     assert!(body.contains("\"marking\": \"dctcp\""), "{body}");

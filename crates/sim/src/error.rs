@@ -53,19 +53,12 @@ pub enum SimError {
         /// Events dispatched at that instant before giving up.
         dispatched: u64,
     },
-    /// The run's total event budget was exhausted before reaching the
-    /// target time.
+    /// A `run_until` call dispatched more events than its network can
+    /// legitimately produce over the span (a runaway agent).
     EventBudgetExhausted {
-        /// The configured budget.
+        /// The call's budget, derived from the span and the link rates.
         budget: u64,
         /// The simulator clock when the budget ran out.
-        at: SimTime,
-    },
-    /// An external supervisor fired the run's
-    /// [`CancelToken`](crate::CancelToken) (wall-clock deadline,
-    /// shutdown request) and the event loop stopped cooperatively.
-    Cancelled {
-        /// The simulator clock when the cancellation was observed.
         at: SimTime,
     },
 }
@@ -94,9 +87,6 @@ impl fmt::Display for SimError {
             ),
             SimError::EventBudgetExhausted { budget, at } => {
                 write!(f, "event budget of {budget} exhausted at {at}")
-            }
-            SimError::Cancelled { at } => {
-                write!(f, "run cancelled by supervisor at {at}")
             }
         }
     }

@@ -449,8 +449,8 @@ impl EventQueue {
     /// seq)` tail of its key (which decides whether a lazy completion
     /// would already have fired), and payload — whose deadline is at or
     /// before `until`; `None` leaves the queue untouched apart from
-    /// cursor advancement over empty buckets. Cancelled timers are
-    /// reaped here without being returned.
+    /// cursor advancement over empty buckets. Timers cancelled before
+    /// firing are reaped here without being returned.
     pub(crate) fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, u64, u64, EventKind)> {
         loop {
             if self.len == 0 {
@@ -514,7 +514,7 @@ impl EventQueue {
             .map(|(at, _, _, kind)| (at, kind))
     }
 
-    /// Number of scheduled entries, in O(1). Cancelled timers count
+    /// Number of scheduled entries, in O(1). A cancelled timer counts
     /// until reaped — by the pop path, by overflow migration, or by a
     /// compaction sweep.
     pub(crate) fn len(&self) -> usize {

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod cancel;
 mod error;
 mod event;
 mod fault;
@@ -67,7 +66,6 @@ mod simulator;
 mod time;
 mod topology;
 
-pub use cancel::CancelToken;
 pub use error::SimError;
 pub use event::IdMap;
 pub use fault::{FaultAction, FaultEvent, FaultPlan};

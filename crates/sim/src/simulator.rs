@@ -10,18 +10,13 @@ use crate::node::{Action, Node};
 use crate::queue::{Capacity, Offer};
 use crate::{
     Agent, Context, LinkId, Network, NodeId, Packet, QueueReport, SimDuration, SimError, SimTime,
+    HEADER_BYTES,
 };
 
 /// Default number of events allowed at a single instant before
 /// [`Simulator::run_until`] reports a livelock. Generous: a legitimate
 /// same-instant burst is bounded by topology size, not millions.
 const DEFAULT_LIVELOCK_THRESHOLD: u64 = 1_000_000;
-
-/// Events dispatched between [`CancelToken`](crate::CancelToken) polls.
-/// Coarse enough that the atomic load vanishes against per-event work,
-/// fine enough that a fired token stops the run within microseconds of
-/// wall time.
-const CANCEL_CHECK_STRIDE: u64 = 4096;
 
 /// Where a run's events went, by kind — see [`Simulator::event_counts`].
 ///
@@ -92,11 +87,9 @@ pub struct Simulator {
     running: Option<(u64, u64)>,
     /// Max events at one instant before a run reports a livelock.
     livelock_threshold: u64,
-    /// Optional cap on events dispatched per `run_until` call.
-    event_budget: Option<u64>,
-    /// Optional cooperative cancellation flag, polled every
-    /// [`CANCEL_CHECK_STRIDE`] events.
-    cancel_token: Option<crate::CancelToken>,
+    /// Σ over link ends of the line rate, bits/second: what sizes each
+    /// `run_until` call's event budget (see [`Simulator::run_until`]).
+    rate_sum_bps: u64,
     /// Event recorder; disabled (one branch per record point) unless
     /// [`Simulator::enable_trace`] was called.
     tracer: Tracer,
@@ -107,6 +100,9 @@ impl Simulator {
     /// zero. Agents' `on_start` callbacks run when time first advances.
     pub fn new(network: Network) -> Self {
         let num_nodes = network.nodes.len();
+        let rate_sum_bps = network.links.iter().fold(0u64, |sum, l| {
+            sum.saturating_add(l.spec.rate_bps.saturating_mul(2))
+        });
         Simulator {
             now: SimTime::ZERO,
             events: EventQueue::new(),
@@ -120,8 +116,7 @@ impl Simulator {
             counts: EventCounts::default(),
             running: None,
             livelock_threshold: DEFAULT_LIVELOCK_THRESHOLD,
-            event_budget: None,
-            cancel_token: None,
+            rate_sum_bps,
             tracer: Tracer::disabled(),
         }
     }
@@ -186,8 +181,8 @@ impl Simulator {
         self.counts
     }
 
-    /// Number of events currently pending in the queue, O(1). Cancelled
-    /// timers still count until their deadline passes and they are
+    /// Number of events currently pending in the queue, O(1). A
+    /// cancelled timer still counts until its deadline passes and it is
     /// reaped; elided transmit completions never do.
     pub fn event_count(&self) -> usize {
         self.events.len()
@@ -200,15 +195,15 @@ impl Simulator {
     ///
     /// * [`SimError::TimeReversal`] if `until` is in the past — the
     ///   simulation state is untouched.
-    /// * [`SimError::Livelock`] if more than the livelock threshold of
-    ///   events fire at a single instant without the clock advancing
-    ///   (see [`Simulator::set_livelock_threshold`]).
-    /// * [`SimError::EventBudgetExhausted`] if an event budget is set
-    ///   and this call exceeds it (see [`Simulator::set_event_budget`]).
-    /// * [`SimError::Cancelled`] if a cancel token is installed and an
-    ///   external supervisor fired it (see
-    ///   [`Simulator::set_cancel_token`]). The poll is strided, so the
-    ///   stop lags the fire by at most a few thousand events.
+    /// * [`SimError::Livelock`] if more than one million events fire at
+    ///   a single instant without the clock advancing.
+    /// * [`SimError::EventBudgetExhausted`] if this call dispatches more
+    ///   than `1e6 + 4 × ⌈Σ rate_bps × span / (8 · HEADER_BYTES)⌉`
+    ///   events, where Σ runs over both directions of every link and
+    ///   `span` is `until − now`: four events for every header-only
+    ///   packet the links could carry at line rate. Only a runaway agent
+    ///   gets there, such as a timer that keeps rescheduling itself
+    ///   nanoseconds ahead.
     ///
     /// On error the simulation stops at the offending instant; state is
     /// consistent but the run should be treated as failed.
@@ -219,15 +214,8 @@ impl Simulator {
                 requested: until,
             });
         }
-        if let Some(token) = &self.cancel_token {
-            if token.is_cancelled() {
-                return Err(SimError::Cancelled { at: self.now });
-            }
-        }
         self.start_agents();
-        // Hoisted out of the loop: `u64::MAX` means "no budget" and the
-        // comparison below never fires.
-        let budget = self.event_budget.unwrap_or(u64::MAX);
+        let budget = self.event_budget(until.duration_since(self.now));
         let mut dispatched_this_run: u64 = 0;
         let mut at_this_instant: u64 = 0;
         let mut last_instant = self.now;
@@ -248,13 +236,6 @@ impl Simulator {
             if dispatched_this_run > budget {
                 return Err(SimError::EventBudgetExhausted { budget, at });
             }
-            if dispatched_this_run % CANCEL_CHECK_STRIDE == 0 {
-                if let Some(token) = &self.cancel_token {
-                    if token.is_cancelled() {
-                        return Err(SimError::Cancelled { at });
-                    }
-                }
-            }
             self.now = at;
             self.running = Some((prio, seq));
             self.dispatch(kind);
@@ -274,29 +255,27 @@ impl Simulator {
         self.run_until(self.now + duration)
     }
 
+    /// The most events one [`Simulator::run_until`] call spanning `span`
+    /// may dispatch: the livelock threshold plus four events for every
+    /// minimum-size (header-only) packet the links could carry in
+    /// `span`, both directions of every link at line rate. A packet
+    /// costs an arrival, a transmit completion and a timer or two, so
+    /// only a runaway agent gets near it. Saturates instead of
+    /// overflowing.
+    fn event_budget(&self, span: SimDuration) -> u64 {
+        let bits = u128::from(self.rate_sum_bps) * u128::from(span.as_nanos());
+        let packets = bits.div_ceil(8 * u128::from(HEADER_BYTES) * 1_000_000_000);
+        let events = u64::try_from(packets.saturating_mul(4)).unwrap_or(u64::MAX);
+        self.livelock_threshold.saturating_add(events)
+    }
+
     /// Sets how many events may fire at a single instant before
     /// [`Simulator::run_until`] reports [`SimError::Livelock`]. The
     /// default (one million) is far above any legitimate same-instant
-    /// burst; lower it in tests to catch zero-delay loops quickly.
-    pub fn set_livelock_threshold(&mut self, threshold: u64) {
+    /// burst; tests lower it to catch zero-delay loops quickly.
+    #[cfg(test)]
+    pub(crate) fn set_livelock_threshold(&mut self, threshold: u64) {
         self.livelock_threshold = threshold.max(1);
-    }
-
-    /// Caps the number of events a single [`Simulator::run_until`] call
-    /// may dispatch; exceeding it returns
-    /// [`SimError::EventBudgetExhausted`]. `None` (the default) disables
-    /// the cap.
-    pub fn set_event_budget(&mut self, budget: Option<u64>) {
-        self.event_budget = budget;
-    }
-
-    /// Installs a cooperative cancellation token, polled every few
-    /// thousand dispatched events (and once on entry to each
-    /// [`Simulator::run_until`] call). A fired token makes the next poll
-    /// return [`SimError::Cancelled`]; a token that never fires leaves
-    /// the run event-for-event identical to one with no token.
-    pub fn set_cancel_token(&mut self, token: Option<crate::CancelToken>) {
-        self.cancel_token = token;
     }
 
     /// Schedules every event of a [`FaultPlan`] onto the simulation
@@ -528,8 +507,8 @@ impl Simulator {
                 }
             }
             EventKind::Timer { node, token } => {
-                // Cancelled timers are reaped inside the event queue and
-                // never reach this arm.
+                // A cancelled timer is reaped inside the event queue and
+                // never reaches this arm.
                 self.counts.timers += 1;
                 self.with_agent(node, |agent, ctx| agent.on_timer(token, ctx));
             }
@@ -1175,9 +1154,10 @@ mod tests {
         }
     }
 
-    fn zero_loop_sim() -> Simulator {
+    /// One 1 Gb/s link between `first` and an echo host.
+    fn one_link_sim(first: Box<dyn Agent>) -> Simulator {
         let mut b = TopologyBuilder::new();
-        let h1 = b.host("h1", Box::new(ZeroLoop));
+        let h1 = b.host("h1", first);
         let h2 = b.host("h2", Box::new(Echo { received: 0 }));
         b.link(
             h1,
@@ -1192,7 +1172,7 @@ mod tests {
 
     #[test]
     fn livelock_watchdog_trips_on_zero_delay_loop() {
-        let mut sim = zero_loop_sim();
+        let mut sim = one_link_sim(Box::new(ZeroLoop));
         sim.set_livelock_threshold(1_000);
         let err = sim.run_for(SimDuration::from_millis(1)).unwrap_err();
         match err {
@@ -1204,93 +1184,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn event_budget_bounds_a_run() {
-        let mut sim = zero_loop_sim();
-        sim.set_event_budget(Some(500));
-        let err = sim.run_for(SimDuration::from_millis(1)).unwrap_err();
-        assert!(
-            matches!(err, SimError::EventBudgetExhausted { budget: 500, .. }),
-            "{err:?}"
-        );
-        // A healthy simulation under the same budget completes fine.
-        let mut b = TopologyBuilder::new();
-        let h1 = b.host(
-            "h1",
-            Box::new(Pinger {
-                peer: NodeId::from_index(1),
-                count: 3,
-                ack_times: Vec::new(),
-            }),
-        );
-        let h2 = b.host("h2", Box::new(Echo { received: 0 }));
-        b.link(
-            h1,
-            h2,
-            LinkSpec::gbps(1.0, 1),
-            QueueConfig::host_nic(),
-            QueueConfig::host_nic(),
-        )
-        .unwrap();
-        let mut sim = Simulator::new(b.build().unwrap());
-        sim.set_event_budget(Some(500));
-        sim.run_for(SimDuration::from_millis(1)).unwrap();
+    /// Re-arms a 1 ns timer from every timer callback: the clock
+    /// advances, so only the event budget can stop it.
+    #[derive(Debug)]
+    struct NanoLoop;
+
+    impl Agent for NanoLoop {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_nanos(1));
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Context<'_>) {}
+        fn on_timer(&mut self, _token: TimerToken, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_nanos(1));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
     }
 
     #[test]
-    fn fired_cancel_token_stops_a_run() {
-        // A pre-fired token stops the run before any event dispatches.
-        let mut sim = zero_loop_sim();
-        let token = crate::CancelToken::new();
-        sim.set_cancel_token(Some(token.clone()));
-        token.cancel();
-        let err = sim.run_for(SimDuration::from_millis(1)).unwrap_err();
-        assert!(matches!(err, SimError::Cancelled { .. }), "{err:?}");
-        assert_eq!(sim.events_processed(), 0);
-
-        // A token fired mid-run stops within one poll stride.
-        let mut sim = zero_loop_sim();
-        let token = crate::CancelToken::new();
-        sim.set_cancel_token(Some(token.clone()));
-        token.cancel();
-        // Entry check already fired above; exercise the strided check by
-        // clearing and re-firing after entry is impossible from outside,
-        // so instead bound the dispatch count: a fired token must stop a
-        // zero-delay loop long before the livelock threshold.
-        let err = sim.run_for(SimDuration::from_millis(1)).unwrap_err();
-        assert!(matches!(err, SimError::Cancelled { .. }), "{err:?}");
-        assert!(sim.events_processed() <= CANCEL_CHECK_STRIDE);
-    }
-
-    #[test]
-    fn unfired_cancel_token_changes_nothing() {
-        let run = |with_token: bool| {
-            let mut b = TopologyBuilder::new();
-            let h1 = b.host(
-                "h1",
-                Box::new(Pinger {
-                    peer: NodeId::from_index(1),
-                    count: 5,
-                    ack_times: Vec::new(),
-                }),
-            );
-            let h2 = b.host("h2", Box::new(Echo { received: 0 }));
-            b.link(
-                h1,
-                h2,
-                LinkSpec::gbps(1.0, 1),
-                QueueConfig::host_nic(),
-                QueueConfig::host_nic(),
-            )
-            .unwrap();
-            let mut sim = Simulator::new(b.build().unwrap());
-            if with_token {
-                sim.set_cancel_token(Some(crate::CancelToken::new()));
+    fn derived_event_budget_stops_a_runaway_timer() {
+        // 10 ms over one 1 Gb/s link carries at most 2 × 1e9 × 0.01 /
+        // 320 = 62 500 header-only packets, so the budget is the
+        // threshold plus 250 000 events. A timer firing every
+        // nanosecond spends it at 251 µs, one event per nanosecond.
+        let mut sim = one_link_sim(Box::new(NanoLoop));
+        sim.set_livelock_threshold(1_000);
+        let err = sim.run_for(SimDuration::from_millis(10)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::EventBudgetExhausted {
+                budget: 251_000,
+                at: SimTime::from_nanos(251_001),
             }
-            sim.run_for(SimDuration::from_millis(1)).unwrap();
-            sim.events_processed()
-        };
-        assert_eq!(run(false), run(true));
+        );
+        // A healthy simulation under the default threshold completes.
+        let mut sim = one_link_sim(Box::new(Pinger {
+            peer: NodeId::from_index(1),
+            count: 3,
+            ack_times: Vec::new(),
+        }));
+        sim.run_for(SimDuration::from_millis(1)).unwrap();
+        let pinger: &Pinger = sim.agent(NodeId::from_index(0)).unwrap();
+        assert_eq!(pinger.ack_times.len(), 3);
+        // The budget saturates instead of overflowing.
+        sim.rate_sum_bps = u64::MAX;
+        assert_eq!(
+            sim.event_budget(SimDuration::from_nanos(u64::MAX)),
+            u64::MAX
+        );
     }
 
     #[test]
@@ -1344,7 +1289,7 @@ mod tests {
 
     #[test]
     fn install_faults_validates_before_scheduling() {
-        let mut sim = zero_loop_sim();
+        let mut sim = one_link_sim(Box::new(ZeroLoop));
         let bogus = crate::FaultPlan::new().at(
             SimTime::from_nanos(10),
             LinkId::from_index(7),
@@ -1755,7 +1700,7 @@ mod tests {
 
     #[test]
     fn link_ids_enumerates_topology_links() {
-        let sim = zero_loop_sim();
+        let sim = one_link_sim(Box::new(ZeroLoop));
         let ids: Vec<LinkId> = sim.link_ids().collect();
         assert_eq!(ids, vec![LinkId::from_index(0)]);
         assert!(sim.link_is_up(ids[0]).unwrap());

@@ -315,14 +315,17 @@ pub struct CollectiveReport {
 
 /// Runs one collective to completion (or to its horizon) and reports.
 ///
+/// The second parameter can only be `None`. It exists only because the
+/// frozen `benchmark/` calls `run_collective(cfg, None)`; the next
+/// change to the benchmark drops it.
+///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for an invalid configuration and
-/// propagates engine errors (including `Cancelled` when a supervisor
-/// fires `cancel`).
+/// propagates engine errors.
 pub fn run_collective(
     cfg: &CollectiveConfig,
-    cancel: Option<dctcp_sim::CancelToken>,
+    _unused: Option<std::convert::Infallible>,
 ) -> Result<CollectiveReport, SimError> {
     cfg.validate()?;
     let steps = cfg
@@ -371,7 +374,6 @@ pub fn run_collective(
         .all(|(i, &h)| h == NodeId::from_index(i)));
 
     let mut sim = Simulator::new(built.network);
-    sim.set_cancel_token(cancel);
     let deadline = SimTime::ZERO + cfg.horizon;
     let step = SimDuration::from_micros(500);
     let mut completion: Option<f64> = None;

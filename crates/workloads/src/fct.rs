@@ -15,8 +15,8 @@ use std::ops::Range;
 
 use dctcp_core::MarkingScheme;
 use dctcp_sim::{
-    CancelToken, Capacity, LinkId, LinkSpec, NodeId, QueueConfig, SimDuration, SimError, SimTime,
-    Simulator, TopologyBuilder,
+    Capacity, LinkId, LinkSpec, NodeId, QueueConfig, SimDuration, SimError, SimTime, Simulator,
+    TopologyBuilder,
 };
 use dctcp_stats::QuantileSketch;
 use dctcp_tcp::{
@@ -287,21 +287,15 @@ impl FctScenario {
         })
     }
 
-    /// Runs the scenario to completion, one rack at a time, under an
-    /// optional cancel token shared by every rack. Each rack is its own
-    /// one-rack simulation with its original origins, so the report
-    /// equals [`FctScenario::run_instance`] on the joined network.
+    /// Runs the scenario to completion, one rack at a time. Each rack is
+    /// its own one-rack simulation with its original origins, so the
+    /// report equals [`FctScenario::run_instance`] on the joined network.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if instantiation or a run fails, including
-    /// `Cancelled` for a fired token.
-    pub fn run(&self, cancel: Option<CancelToken>) -> Result<FctReport, SimError> {
-        self.merge_runs((0..self.racks).map(|r| {
-            let mut instance = self.instantiate_inner(r..r + 1)?;
-            instance.sim.set_cancel_token(cancel.clone());
-            Ok(instance)
-        }))
+    /// Returns [`SimError`] if instantiation or a run fails.
+    pub fn run(&self) -> Result<FctReport, SimError> {
+        self.merge_runs((0..self.racks).map(|r| self.instantiate_inner(r..r + 1)))
     }
 
     /// Runs an already-instantiated scenario (e.g. the joined network
@@ -553,7 +547,7 @@ mod tests {
 
     #[test]
     fn fct_run_completes_and_reports_tails() {
-        let r = quick(MarkingScheme::dctcp_packets(40)).run(None).unwrap();
+        let r = quick(MarkingScheme::dctcp_packets(40)).run().unwrap();
         assert!(r.arrivals > 100, "arrivals {}", r.arrivals);
         assert_eq!(r.completed + r.aborted, r.started);
         assert_eq!(r.started, r.arrivals, "open loop admits everything");
@@ -589,7 +583,7 @@ mod tests {
                 .build()
                 .unwrap();
             let joined = s.run_instance(s.instantiate().unwrap()).unwrap();
-            let per_rack = s.run(None).unwrap();
+            let per_rack = s.run().unwrap();
             assert!(joined.measured_completed > 0 && joined.events > 0);
             for (a, b) in joined.sketches.iter().zip(&per_rack.sketches) {
                 assert_eq!(a.count(), b.count(), "racks = {racks}");
@@ -616,7 +610,7 @@ mod tests {
             .drain_secs(0.05)
             .build()
             .unwrap()
-            .run(None)
+            .run()
             .unwrap();
         assert!(r.deadline_flows > 0);
         assert_eq!(r.deadline_flows, r.measured_completed);

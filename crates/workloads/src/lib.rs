@@ -55,8 +55,8 @@ pub use fct::{FctInstance, FctReport, FctScenario, FctScenarioBuilder};
 pub use star::{LongLivedInstance, LongLivedReport, LongLivedScenario, LongLivedScenarioBuilder};
 pub use table::Table;
 pub use testbed::{
-    build_testbed, run_query_rounds, run_query_rounds_supervised, run_query_rounds_with_threads,
-    QueryMode, QueryReport, QueryRound, QueryWorkload, Testbed, TestbedConfig, TESTBED_WORKERS,
+    build_testbed, run_query_rounds, run_query_rounds_with_threads, QueryMode, QueryReport,
+    QueryRound, QueryWorkload, Testbed, TestbedConfig, TESTBED_WORKERS,
 };
 
 // Re-export the workspace crates the drivers build on, so example and

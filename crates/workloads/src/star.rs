@@ -111,31 +111,24 @@ impl LongLivedScenario {
     /// Runs the scenario to completion and reports post-warmup
     /// statistics.
     pub fn run(&self) -> LongLivedReport {
-        self.run_supervised(None, |_| FaultPlan::new())
+        self.run_with_faults(|_| FaultPlan::new())
             .expect("fault-free scenario")
     }
 
     /// Runs the scenario with a scripted fault plan installed before
-    /// the clock starts, under an optional
-    /// [`CancelToken`](dctcp_sim::CancelToken). The plan builder
-    /// receives the instantiated topology so plans can reference its
-    /// links (typically [`LongLivedInstance::bottleneck`]). A
-    /// supervisor that fires the token (e.g. a wall-clock watchdog)
-    /// stops the run with [`SimError::Cancelled`](SimError) at the next
-    /// event-loop poll. An unfired token leaves the run bit-identical
-    /// to an unsupervised one.
+    /// the clock starts. The plan builder receives the instantiated
+    /// topology so plans can reference its links (typically
+    /// [`LongLivedInstance::bottleneck`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if instantiation, fault installation or the
-    /// run itself fails, including `Cancelled` for a fired token.
-    pub fn run_supervised(
+    /// run itself fails.
+    pub fn run_with_faults(
         &self,
-        cancel: Option<dctcp_sim::CancelToken>,
         plan: impl FnOnce(&LongLivedInstance) -> FaultPlan,
     ) -> Result<LongLivedReport, SimError> {
         let mut instance = self.instantiate()?;
-        instance.sim.set_cancel_token(cancel);
         let faults = plan(&instance);
         instance.sim.install_faults(&faults)?;
         let LongLivedInstance {
@@ -399,7 +392,7 @@ mod tests {
         // One 10 ms outage of the bottleneck inside the 10..40 ms
         // measurement window.
         let faulted = scenario
-            .run_supervised(None, |i| {
+            .run_with_faults(|i| {
                 FaultPlan::new().flap(
                     i.bottleneck,
                     SimTime::ZERO + SimDuration::from_millis(15),
@@ -415,30 +408,6 @@ mod tests {
             faulted.goodput_bps,
             clean.goodput_bps
         );
-    }
-
-    #[test]
-    fn fired_token_cancels_a_supervised_run() {
-        let scenario = LongLivedScenario::builder()
-            .flows(2)
-            .bottleneck_gbps(1.0)
-            .marking(MarkingScheme::dctcp_packets(20))
-            .warmup_secs(0.02)
-            .duration_secs(0.04)
-            .build()
-            .unwrap();
-        let token = dctcp_sim::CancelToken::new();
-        token.cancel();
-        let err = scenario
-            .run_supervised(Some(token), |_| FaultPlan::new())
-            .unwrap_err();
-        assert!(matches!(err, SimError::Cancelled { .. }), "{err:?}");
-        // An unfired token changes nothing.
-        let clean = scenario.run();
-        let supervised = scenario
-            .run_supervised(Some(dctcp_sim::CancelToken::new()), |_| FaultPlan::new())
-            .unwrap();
-        assert_eq!(clean, supervised);
     }
 
     #[test]

@@ -268,28 +268,8 @@ pub fn run_query_rounds_with_threads(
     workload: &QueryWorkload,
     threads: usize,
 ) -> Result<QueryReport, SimError> {
-    run_query_rounds_supervised(cfg, workload, threads, None)
-}
-
-/// [`run_query_rounds_with_threads`] under an optional
-/// [`CancelToken`](dctcp_sim::CancelToken) shared by every round's
-/// simulator: a supervisor that fires it stops the in-flight rounds with
-/// [`SimError::Cancelled`](SimError). An unfired token leaves the report
-/// bit-identical to an unsupervised run.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the testbed cannot be built, a round fails,
-/// or the token fires (`Cancelled`); with several failing rounds, the
-/// lowest-numbered round's error is reported, as in serial execution.
-pub fn run_query_rounds_supervised(
-    cfg: &TestbedConfig,
-    workload: &QueryWorkload,
-    threads: usize,
-    cancel: Option<dctcp_sim::CancelToken>,
-) -> Result<QueryReport, SimError> {
     let rounds = dctcp_parallel::par_map((0..workload.rounds).collect(), threads, |_idx, round| {
-        run_one_round(cfg, workload, round, cancel.clone())
+        run_one_round(cfg, workload, round)
     })
     .into_iter()
     .collect::<Result<Vec<QueryRound>, SimError>>()?;
@@ -304,7 +284,6 @@ fn run_one_round(
     cfg: &TestbedConfig,
     workload: &QueryWorkload,
     round: u32,
-    cancel: Option<dctcp_sim::CancelToken>,
 ) -> Result<QueryRound, SimError> {
     let mut rng = Pcg32::seed_from_u64(workload.seed.wrapping_add(round as u64));
     let client_node = NodeId::from_index(0); // client is added first
@@ -357,7 +336,6 @@ fn run_one_round(
         }
     };
     debug_assert_eq!(tb.client, client_node);
-    tb.sim.set_cancel_token(cancel);
 
     let step = SimDuration::from_micros(500);
     let deadline = SimTime::ZERO + workload.round_timeout;
@@ -487,21 +465,6 @@ mod tests {
             cb > ca,
             "query mode must pay the query's one-way latency: {ca} vs {cb}"
         );
-    }
-
-    #[test]
-    fn fired_token_cancels_query_rounds() {
-        let cfg = TestbedConfig::paper(MarkingScheme::dctcp_bytes(32 * 1024));
-        let wl = QueryWorkload::incast(4, 2);
-        let token = dctcp_sim::CancelToken::new();
-        token.cancel();
-        let err = run_query_rounds_supervised(&cfg, &wl, 1, Some(token)).unwrap_err();
-        assert!(matches!(err, SimError::Cancelled { .. }), "{err:?}");
-        // An unfired token reproduces the unsupervised report exactly.
-        let clean = run_query_rounds_with_threads(&cfg, &wl, 1).unwrap();
-        let supervised =
-            run_query_rounds_supervised(&cfg, &wl, 1, Some(dctcp_sim::CancelToken::new())).unwrap();
-        assert_eq!(clean.rounds, supervised.rounds);
     }
 
     #[test]

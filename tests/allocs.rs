@@ -161,7 +161,7 @@ fn hot_paths_stay_allocation_free() {
     // timer-map growth, amortized over the flows — the ceiling bounds
     // the worst case, not a warmed steady state.
     let cell = churn_cell();
-    let (report, allocs) = counting(|| cell.run(None));
+    let (report, allocs) = counting(|| cell.run());
     let report = report.expect("churn run");
     assert_eq!(report.aborted, 0, "churn cell must not abort flows");
     assert_eq!(
