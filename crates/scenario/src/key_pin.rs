@@ -45,25 +45,25 @@ const MINIMAL: [&str; 6] = [
 
 /// `(scenario name, digest of the parsed spec's `Debug` rendering)`.
 const SPEC_PINS: &[(&str, &str)] = &[
-    ("aqm_baselines", "e33a0d3e3a3c9b0ef0264ae99b6c1991"),
-    ("fattree_ecmp_skew", "d7a62b0be156ee60bbed04915625c79c"),
-    ("fattree_incast", "b1ef8c44bcaf44333e9559504f2a26b3"),
-    ("fault_recovery", "6e1014664c3a9ac7fb2bf170d013d01a"),
-    ("fct_churn", "d677cce8083b2a9bb0d7e85466f12464"),
-    ("fig05_oscillation", "c52a4be3565bc0349cb786744c1fbb34"),
-    ("fig10_12_flow_sweep", "0e4f827457c3f3a52b5868fce6c1e43b"),
-    ("fig13_incast", "154ea3513a507bbc8c999e42980dfa77"),
-    ("fig13_query", "24f0860cf7f7f71fa5a4e005e0298339"),
-    ("fluid_scaleout", "674bbd4c1e40de0239c99892511d81f4"),
-    ("fluid_xval", "806e2c7e04bc6e9e38bf0e71c8717847"),
-    ("linux_dctcp_flaws", "d53652d0038034d8129e8160ca3bde2c"),
-    ("threshold_settings", "a93eae2ceb2e5da09e284c9728c2d8b8"),
-    ("ll", "79c2c3781b279bac8a67379ab8294f53"),
-    ("in", "3eb526b2fd3bd03eafe5ee0d67da557e"),
-    ("pa", "474da78d2a0f33ee256db367346ef919"),
-    ("co", "321efe595d83ca1e84fe597f5cabc973"),
-    ("fl", "e09c095179200e712dadfc99a4468301"),
-    ("fc", "989ce2e49526d039d77c6fabb33ea0c0"),
+    ("aqm_baselines", "ffdc4eec0b7d04a99165b1b02768e6b9"),
+    ("fattree_ecmp_skew", "5b191d3db70f80746fc7504b3b0925c0"),
+    ("fattree_incast", "de706a8e59734d62c58ca21c6ddd8d0f"),
+    ("fault_recovery", "44d1cc4962abb8c4ad86893ed5140bd2"),
+    ("fct_churn", "3aba5502b05525897accd5de9d7f6f48"),
+    ("fig05_oscillation", "d31d5ccfd1ff59e482df64d393f02d58"),
+    ("fig10_12_flow_sweep", "c5d545961ccfe4eddc417fdb8677b3f3"),
+    ("fig13_incast", "3443546a70d3cb2539a936ebef5cb3af"),
+    ("fig13_query", "1c7849b34cff9f68d8ac6fcddb073ca1"),
+    ("fluid_scaleout", "592d482bd1507ee93548707df785a6f8"),
+    ("fluid_xval", "df3efae50c6fb05613b3e70c99f23a7b"),
+    ("linux_dctcp_flaws", "6945df17db7cce5cd138dc62efedfe62"),
+    ("threshold_settings", "bd8eb3e9464f6b7dfa66c773bd57b910"),
+    ("ll", "192d7b0b59e32e87f511c0b04982c487"),
+    ("in", "807bebabe0cc1eabc6fd7f486ccd9ad6"),
+    ("pa", "c08fdceb79b378b5d111539ef53f0b79"),
+    ("co", "84948e21421418459955f7797d5f8567"),
+    ("fl", "b8ad276befd5545882086708aa6ecf01"),
+    ("fc", "41ec8cf37a2cc3211680831d2846517c"),
 ];
 
 fn scenario_dir() -> std::path::PathBuf {
