@@ -21,7 +21,9 @@
 #                 exit codes, failure replay from the cache, kill -9
 #                 mid-matrix resume) + fct-parity gate (the million-flow churn
 #                 scenario must render byte-identical FCT artifacts at
-#                 1 and 2 repro threads)
+#                 1 and 2 repro threads) + paper tier (scenarios/paper/,
+#                 the paper's figures at paper scale, run cold after the
+#                 matrix gate and checked against their envelopes)
 #                 (the merge gate: everything the repo can check)
 #   ci.sh         same as full
 set -eu
@@ -138,6 +140,20 @@ case "$WARM_SUMMARY" in
         ;;
 esac
 diff -r "$REPRO_COLD" artifacts/repro
+
+echo "==> paper tier (scenarios/paper/ at paper scale -> repro_check)"
+# The paper's figures (Figs. 1, 10-12, 14, 15 and the design
+# ablations) at paper scale, one scenario file each. list_scenarios
+# does not recurse, so the matrix gate above never sees them; their
+# artifacts go to their own directory so its diff -r stays untouched.
+# The run is cold (the paper cells share no key with the matrix cells
+# in the cache), and every envelope - each file's figure claim - must
+# hold.
+rm -rf artifacts/paper
+cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
+    --out artifacts/paper --cache artifacts/cache --all scenarios/paper/
+cargo run --offline --release -q -p dctcp-scenario --bin repro_check -- \
+    --artifacts artifacts/paper --all scenarios/paper/
 
 echo "==> benchmark lint + self-tests (benchmark/check.sh)"
 # The benchmark is a stand-alone package outside the workspace, so the

@@ -53,4 +53,4 @@ pub use nyquist::{
     analyze, critical_gain, df_locus, intersections, oscillation_onset, plant_locus, AnalysisGrid,
     Intersection, Locus, LocusPoint, StabilityReport,
 };
-pub use plant::PlantParams;
+pub use plant::{PlantParams, FIG9_CALIBRATED_GAIN};

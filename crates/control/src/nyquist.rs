@@ -285,7 +285,7 @@ pub fn oscillation_onset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HysteresisDf, RelayDf};
+    use crate::{HysteresisDf, RelayDf, FIG9_CALIBRATED_GAIN};
 
     fn paper_plant(n: f64) -> PlantParams {
         PlantParams::paper_defaults(n)
@@ -383,11 +383,6 @@ mod tests {
         assert!(intersections(&a, &b).is_empty());
     }
 
-    /// The Fig. 9 calibration: a loop-gain multiplier large enough that
-    /// both schemes' loci eventually intersect (DCTCP's margin dips to
-    /// ≈ 5.4, DT-DCTCP's to ≈ 6.4; see EXPERIMENTS.md).
-    const FIG9_GAIN: f64 = 6.5;
-
     fn test_grid() -> AnalysisGrid {
         AnalysisGrid {
             w_points: 1500,
@@ -400,9 +395,17 @@ mod tests {
     fn few_flows_are_stable_many_oscillate() {
         let df = RelayDf::new(40.0).unwrap();
         let grid = test_grid();
-        let small = analyze(&paper_plant(10.0).with_gain(FIG9_GAIN), &df, &grid);
+        let small = analyze(
+            &paper_plant(10.0).with_gain(FIG9_CALIBRATED_GAIN),
+            &df,
+            &grid,
+        );
         assert!(small.stable, "N=10 should be stable for DCTCP");
-        let large = analyze(&paper_plant(60.0).with_gain(FIG9_GAIN), &df, &grid);
+        let large = analyze(
+            &paper_plant(60.0).with_gain(FIG9_CALIBRATED_GAIN),
+            &df,
+            &grid,
+        );
         assert!(!large.stable, "N=60 should oscillate for DCTCP");
         let lc = large.limit_cycle.expect("limit cycle predicted");
         assert!(lc.amplitude > 40.0, "amplitude {} above K", lc.amplitude);
@@ -413,7 +416,7 @@ mod tests {
     fn printed_gain_never_reaches_the_critical_locus() {
         // With Eq. (17) verbatim the DCTCP loci stay disjoint for every
         // flow count; the gap is smallest near N ≈ 55 where the critical
-        // gain dips to ≈ 5.4 (this motivates the FIG9_GAIN calibration).
+        // gain dips to ≈ 5.4 (this motivates FIG9_CALIBRATED_GAIN).
         let df = RelayDf::new(40.0).unwrap();
         let grid = test_grid();
         assert!(analyze(&paper_plant(55.0), &df, &grid).stable);
@@ -444,7 +447,7 @@ mod tests {
         let relay = RelayDf::new(40.0).unwrap();
         let hyst = HysteresisDf::new(30.0, 50.0).unwrap();
         let grid = test_grid();
-        let base = paper_plant(1.0).with_gain(FIG9_GAIN);
+        let base = paper_plant(1.0).with_gain(FIG9_CALIBRATED_GAIN);
         let on_dc = oscillation_onset(&base, &relay, (5..=150).step_by(5), &grid)
             .expect("DCTCP must eventually oscillate");
         let on_dt = oscillation_onset(&base, &hyst, (5..=150).step_by(5), &grid)

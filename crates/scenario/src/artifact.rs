@@ -1,6 +1,6 @@
 //! The `dctcp-repro/v1` artifact: one JSON file per scenario run.
 //!
-//! Same idiom as the `dctcp-bench/v1` benchmark file: a hand-rolled
+//! Same idiom as the `dctcp-benchmark/v1` benchmark file: a hand-rolled
 //! writer that emits exactly one matrix point per line, and a scanner
 //! parser that reads back only what it wrote. Keeping both sides in
 //! this module (with a round-trip test) is what lets the workspace do

@@ -10,9 +10,9 @@
 //!   arrivals at a configured load with empirical sizes ([`sizes`]),
 //!   reporting per-size-class FCT tails from mergeable sketches.
 //!
-//! The [`experiments`] module exposes one driver per data figure; each
-//! returns a serializable result with [`Table`] renderings — the `fig*`
-//! binaries in `dctcp-bench` are thin wrappers around them.
+//! The paper's figures are runs of these families declared as scenario
+//! files (`scenarios/paper/`) and executed by `dctcp-scenario`'s `repro`
+//! runner; this crate holds the workloads, not per-figure drivers.
 //!
 //! # Examples
 //!
@@ -37,30 +37,27 @@
 
 mod buildup;
 mod collective;
-mod convergence;
-pub mod experiments;
 mod fct;
 pub mod sizes;
 mod star;
-mod table;
 mod testbed;
 
 pub use buildup::{run_buildup, run_buildup_traced, BuildupConfig, BuildupReport};
 pub use collective::{
     run_collective, CollectiveConfig, CollectivePattern, CollectiveReport, Transfer,
 };
-pub use convergence::{run_convergence, ConvergenceConfig, ConvergenceReport};
-pub use experiments::Scale;
 pub use fct::{FctInstance, FctReport, FctScenario, FctScenarioBuilder};
 pub use star::{LongLivedInstance, LongLivedReport, LongLivedScenario, LongLivedScenarioBuilder};
-pub use table::Table;
 pub use testbed::{
     build_testbed, run_query_rounds, run_query_rounds_with_threads, QueryMode, QueryReport,
     QueryRound, QueryWorkload, Testbed, TestbedConfig, TESTBED_WORKERS,
 };
 
-// Re-export the workspace crates the drivers build on, so example and
-// bench code can depend on `dctcp-workloads` alone.
+// Re-export the workspace crates the workloads build on, so example
+// code can depend on `dctcp-workloads` alone. Nothing in this crate
+// uses `control` or `fluid` any more; both stay, with the manifest
+// dependencies behind them, because the frozen benchmark builds
+// `--locked` against a lockfile that lists them under this crate.
 pub use dctcp_control as control;
 pub use dctcp_core as core;
 pub use dctcp_fluid as fluid;

@@ -13,7 +13,7 @@
 //! * [`stats`] — time-weighted statistics and metrics.
 //! * [`trace`] — typed event tracing and the replayable invariant
 //!   oracle.
-//! * [`workloads`] — scenarios and per-figure experiments.
+//! * [`workloads`] — the workloads the paper's figures run.
 //! * [`parallel`] — scoped-thread fan-out with deterministic,
 //!   input-ordered results for independent simulation runs.
 //!

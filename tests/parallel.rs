@@ -13,7 +13,6 @@ use dt_dctcp::sim::{
 };
 use dt_dctcp::tcp::{FlowError, ScheduledFlow, TcpConfig, TransportHost};
 use dt_dctcp::trace::{oracle, TraceConfig, TraceDigest};
-use dt_dctcp::workloads::experiments::{queue_sweep_with_threads, Scale};
 use dt_dctcp::workloads::{run_query_rounds_with_threads, QueryWorkload, TestbedConfig};
 
 const MB: u64 = 1024 * 1024;
@@ -143,14 +142,6 @@ fn query_rounds_parallel_matches_serial() {
     let parallel = run_query_rounds_with_threads(&cfg, &workload, 4).unwrap();
     assert_eq!(serial, parallel, "query rounds diverged from serial");
     assert_eq!(serial.rounds.len(), workload.rounds as usize);
-}
-
-#[test]
-fn queue_sweep_parallel_matches_serial() {
-    let serial = queue_sweep_with_threads(Scale::Quick, 1);
-    let parallel = queue_sweep_with_threads(Scale::Quick, 4);
-    assert_eq!(serial, parallel, "queue sweep diverged from serial");
-    assert!(!serial.points.is_empty());
 }
 
 #[test]
