@@ -3,7 +3,9 @@
 # every step runs with --offline on a bare Rust toolchain.
 #
 # Tiers:
-#   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
+#   ci.sh quick   fmt + frozen-benchmark ledger (the tags in crates/
+#                 match DESIGN.md's table) + clippy + release build +
+#                 tier-1 tests + fluid
 #                 model tests + engine and transport unit tests
 #                 (dctcp-sim, dctcp-tcp) + benchmark compile check
 #                 (the frozen benchmark must still build against the
@@ -11,13 +13,13 @@
 #                 denied (the PR gate: minutes, catches most breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + trace-oracle
-#                 smoke + scenario-matrix gate (run cold, then warm
+#                 smoke + scenario-matrix gate (run cold, then
+#                 repro_check on every envelope and every [xval] band
+#                 of the DDE model vs its packet anchors, then warm
 #                 from the result cache with byte-identity asserted
 #                 between the two) + benchmark
 #                 lint and smoke (benchmark/check.sh, then
-#                 benchmark/run.sh --quick) + fluid-xval
-#                 gate (DDE model vs packet anchors within committed
-#                 relative-error bands) + supervision gate (quarantine
+#                 benchmark/run.sh --quick) + supervision gate (quarantine
 #                 exit codes, failure replay from the cache, kill -9
 #                 mid-matrix resume) + fct-parity gate (the million-flow churn
 #                 scenario must render byte-identical FCT artifacts at
@@ -41,6 +43,21 @@ esac
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> frozen-benchmark ledger (tags in crates/ vs DESIGN.md's table)"
+# Every stand-in kept only for the frozen benchmark carries one
+# `frozen-benchmark: <tag>` comment, and DESIGN.md's ledger lists each
+# tag once. A tag without a row, a row without a tag, or a tag used
+# twice fails here.
+TAGS="$(grep -rhoE 'frozen-benchmark: [a-z0-9-]+' crates --include='*.rs' --include='*.toml' \
+    | sed 's/^frozen-benchmark: //' | sort)"
+LEDGER="$(awk '/^## /{p = ($0 == "## Frozen-benchmark ledger")} p' DESIGN.md \
+    | sed -n 's/^| `\([a-z0-9-]*\)` |.*/\1/p' | sort)"
+if [ -z "$LEDGER" ] || [ "$TAGS" != "$LEDGER" ]; then
+    echo "ci.sh: frozen-benchmark tags and DESIGN.md's ledger differ (tags, then ledger):" >&2
+    printf '%s\n--\n%s\n' "$TAGS" "$LEDGER" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -106,8 +123,13 @@ cargo run --offline --release --example trace_dump -- --oracle
 echo "==> scenario-matrix gate (cold repro -> repro_check -> warm repro)"
 # Runs every committed scenario through the simulator and validates the
 # resulting artifacts against the regression envelopes encoded in the
-# scenario files themselves. Deterministic: artifacts are bit-identical
-# across runs and thread counts.
+# scenario files themselves, and the fluid artifacts against their
+# packet anchors within each committed [xval] relative-error band
+# (what licenses the fluid_scaleout extrapolation to N = 10^4..10^6).
+# Any nonzero exit fails the gate: on committed scenarios even exit 3,
+# a skip because a cell is quarantined, means something upstream
+# broke. Deterministic: artifacts are bit-identical across runs and
+# thread counts.
 #
 # The gate runs twice. The cold pass starts from an empty result cache
 # and simulates every cell; the warm pass must then be served entirely
@@ -168,20 +190,6 @@ echo "==> benchmark smoke (benchmark/run.sh --quick)"
 # workload's output checks hold; run.sh exits nonzero if any fails.
 # Results land in benchmark/out/ (ignored), the table goes to stdout.
 bash benchmark/run.sh --quick
-
-echo "==> fluid-xval gate (DDE model vs packet anchors)"
-# Cross-validates the fluid-model artifacts the scenario gate just
-# produced against the packet anchors at shared operating points: each
-# committed [xval] band must hold within its relative-error budget.
-# Passing this is what licenses the fluid_scaleout extrapolation to
-# N = 10^4..10^6. The plain-text comparison report lands in
-# artifacts/fluid_xval_report.txt for CI to upload on failure. Any
-# nonzero exit fails the gate — on committed scenarios even "skipped
-# because an anchor cell is quarantined" (exit 3) means something
-# upstream already broke.
-cargo run --offline --release -q -p dctcp-scenario --bin fluid_check -- \
-    --artifacts artifacts/repro --report artifacts/fluid_xval_report.txt \
-    --all scenarios/
 
 echo "==> supervision gate (quarantine exit codes + failure replay + kill -9 resume)"
 # Three smokes over the supervised executor. First: a matrix with one

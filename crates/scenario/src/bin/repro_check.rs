@@ -7,20 +7,25 @@
 //! For each scenario, loads `DIR/<name>.json` (default
 //! `artifacts/repro`), verifies it matches the scenario (schema, name,
 //! kind, every matrix cell accounted for as a point *or* a quarantined
-//! failure) and evaluates every `[expect]` envelope. Envelopes that
-//! touch a quarantined cell are reported as *skipped* — a failure to
-//! measure is never a pass. Exit codes:
+//! failure) and evaluates every `[expect]` envelope. A fluid scenario's
+//! `[xval]` bands are evaluated too, against their packet anchors'
+//! artifacts from the same directory (each loaded once). Envelopes and
+//! bands that touch a quarantined cell are reported as *skipped* — a
+//! failure to measure is never a pass. Exit codes:
 //!
-//! * `0` — every envelope evaluated and held;
-//! * `3` — every evaluated envelope held, but quarantined cells forced
-//!   skips (the reproduction is incomplete, not wrong);
-//! * `1` — at least one envelope violated, or an invocation/format
-//!   error.
+//! * `0` — every envelope and band evaluated and held;
+//! * `3` — every evaluated envelope and band held, but quarantined
+//!   cells forced skips (the reproduction is incomplete, not wrong);
+//! * `1` — at least one envelope or band violated, or an
+//!   invocation/format error.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dctcp_scenario::{check_artifact_partial, list_scenarios, Artifact, ScenarioSpec};
+use dctcp_scenario::{
+    check_artifact_partial, check_xval, list_scenarios, Artifact, CheckReport, ScenarioSpec,
+};
 
 struct Args {
     artifacts: PathBuf,
@@ -61,14 +66,69 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Checks one scenario; returns (violated, skipped) envelope counts.
-fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<(usize, usize), String> {
-    if artifact.scenario != spec.name {
+/// Envelope or band counts, for one scenario or the whole run.
+#[derive(Default, Clone, Copy)]
+struct Tally {
+    total: usize,
+    violated: usize,
+    skipped: usize,
+}
+
+impl Tally {
+    /// Prints a report's skips and failures and counts `total` checks
+    /// (`[expect]` envelopes or `[xval]` bands, named by `section`)
+    /// against it.
+    fn of(section: &str, total: usize, report: &CheckReport) -> Tally {
+        for name in &report.skipped {
+            eprintln!("repro_check:   SKIP {name} — touches a quarantined cell");
+        }
+        let mut violated: Vec<&str> = Vec::new();
+        for v in &report.violations {
+            eprintln!("repro_check:   FAIL {section} \"{}\": {}", v.expect, v.msg);
+            if !violated.contains(&v.expect.as_str()) {
+                violated.push(&v.expect);
+            }
+        }
+        Tally {
+            total,
+            violated: violated.len(),
+            skipped: report.skipped.len(),
+        }
+    }
+
+    fn held(self) -> usize {
+        self.total - self.violated - self.skipped
+    }
+
+    fn add(&mut self, other: Tally) {
+        self.total += other.total;
+        self.violated += other.violated;
+        self.skipped += other.skipped;
+    }
+}
+
+/// Loads `DIR/<name>.json` into `cache`, once per name, and checks that
+/// it is that scenario's artifact.
+fn load(cache: &mut BTreeMap<String, Artifact>, dir: &Path, name: &str) -> Result<(), String> {
+    if cache.contains_key(name) {
+        return Ok(());
+    }
+    let path = dir.join(format!("{name}.json"));
+    let artifact = Artifact::load(&path).map_err(|e| e.to_string())?;
+    if artifact.scenario != name {
         return Err(format!(
-            "artifact is for scenario `{}`, expected `{}`",
-            artifact.scenario, spec.name
+            "{}: artifact is for scenario `{}`, expected `{name}`",
+            path.display(),
+            artifact.scenario
         ));
     }
+    cache.insert(name.to_string(), artifact);
+    Ok(())
+}
+
+/// Checks that the artifact covers the scenario's matrix and evaluates
+/// its envelopes.
+fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<CheckReport, String> {
     if artifact.kind != spec.kind {
         return Err(format!(
             "artifact kind `{}` does not match scenario kind `{}`",
@@ -92,59 +152,70 @@ fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<(usize, us
             f.marking, f.flows, f.seed, f.msg
         );
     }
-    let report = check_artifact_partial(&spec.expectations, artifact);
-    for name in &report.skipped {
-        eprintln!("repro_check:   SKIP {name} — touches a quarantined cell");
-    }
-    let mut violated: Vec<&str> = Vec::new();
-    for v in &report.violations {
-        eprintln!("repro_check:   FAIL {v}");
-        if !violated.contains(&v.expect.as_str()) {
-            violated.push(&v.expect);
-        }
-    }
-    Ok((violated.len(), report.skipped.len()))
+    Ok(check_artifact_partial(&spec.expectations, artifact))
 }
 
-fn run() -> Result<(usize, usize), String> {
+/// Checks every scenario; returns the envelope and band tallies.
+fn run() -> Result<(Tally, Tally), String> {
     let args = parse_args()?;
-    let mut total_violations = 0usize;
-    let mut total_skipped = 0usize;
-    let mut total_expectations = 0usize;
+    let mut cache: BTreeMap<String, Artifact> = BTreeMap::new();
+    let (mut envelopes, mut bands) = (Tally::default(), Tally::default());
     for path in &args.scenarios {
         let spec = ScenarioSpec::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let artifact_path = args.artifacts.join(format!("{}.json", spec.name));
-        let artifact = Artifact::load(&artifact_path).map_err(|e| e.to_string())?;
-        let (violated, skipped) = check_scenario(&spec, &artifact)
-            .map_err(|e| format!("{}: {e}", artifact_path.display()))?;
-        total_expectations += spec.expectations.len();
-        total_violations += violated;
-        total_skipped += skipped;
+        load(&mut cache, &args.artifacts, &spec.name)?;
+        let band_context = |label: &str, e: String| format!("{}: xval \"{label}\": {e}", spec.name);
+        for x in &spec.xvals {
+            load(&mut cache, &args.artifacts, &x.packet_scenario)
+                .map_err(|e| band_context(&x.label, e))?;
+        }
+        let artifact = &cache[&spec.name];
+        let report = check_scenario(&spec, artifact).map_err(|e| {
+            let path = args.artifacts.join(format!("{}.json", spec.name));
+            format!("{}: {e}", path.display())
+        })?;
+        let own = Tally::of("expect", spec.expectations.len(), &report);
+        let mut own_bands = Tally::default();
+        for x in &spec.xvals {
+            let report = check_xval(x, artifact, &cache[&x.packet_scenario])
+                .map_err(|e| band_context(&x.label, e))?;
+            own_bands.add(Tally::of("xval", 1, &report));
+        }
+        let skipped = own.skipped + own_bands.skipped;
         eprintln!(
-            "repro_check: {} — {}/{} envelopes hold{}",
+            "repro_check: {} — {}/{} envelopes, {}/{} bands hold{}",
             spec.name,
-            spec.expectations.len() - violated - skipped,
-            spec.expectations.len(),
+            own.held(),
+            own.total,
+            own_bands.held(),
+            own_bands.total,
             if skipped > 0 {
                 format!(" ({skipped} skipped on quarantine)")
             } else {
                 String::new()
             },
         );
+        envelopes.add(own);
+        bands.add(own_bands);
     }
     eprintln!(
-        "repro_check: {total_expectations} envelopes over {} scenarios, \
-         {total_violations} violation(s), {total_skipped} skipped",
-        args.scenarios.len()
+        "repro_check: {}/{} envelopes and {}/{} bands hold over {} scenarios, \
+         {} violation(s), {} skipped",
+        envelopes.held(),
+        envelopes.total,
+        bands.held(),
+        bands.total,
+        args.scenarios.len(),
+        envelopes.violated + bands.violated,
+        envelopes.skipped + bands.skipped,
     );
-    Ok((total_violations, total_skipped))
+    Ok((envelopes, bands))
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok((0, 0)) => ExitCode::SUCCESS,
-        Ok((0, _)) => ExitCode::from(3),
-        Ok(_) => ExitCode::FAILURE,
+        Ok((e, b)) if e.violated + b.violated > 0 => ExitCode::FAILURE,
+        Ok((e, b)) if e.skipped + b.skipped > 0 => ExitCode::from(3),
+        Ok(_) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("repro_check: {msg}");
             ExitCode::FAILURE

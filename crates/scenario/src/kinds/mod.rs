@@ -50,7 +50,8 @@ pub enum ScenarioKind {
     /// Delay-differential fluid-model sweep on the dumbbell operating
     /// point — no packets, so flow counts may reach
     /// [`crate::MAX_FLUID_FLOWS`]. Cross-validated against packet
-    /// anchors via `[xval]` sections and the `fluid_check` binary.
+    /// anchors via `[xval]` sections, which `repro_check` checks
+    /// beside the envelopes.
     Fluid,
     /// Open-loop heavy-traffic flow churn: Poisson arrivals at a
     /// configured fraction of the rack bottlenecks with empirical

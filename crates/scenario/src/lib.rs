@@ -4,7 +4,8 @@
 //! committed `scenarios/*.scn` file declares a topology, the marking
 //! schemes under test, a flow-count sweep, optional scripted faults and
 //! a set of *regression envelopes* — the paper's claims written as
-//! machine-checkable bands. Two binaries drive it:
+//! machine-checkable bands. Two binaries drive it, one to run and one
+//! to check:
 //!
 //! * `repro` runs a scenario's matrix in parallel (bit-identical for
 //!   any thread count) and writes one `dctcp-repro/v1` JSON artifact
@@ -22,8 +23,10 @@
 //!   zero recomputation.
 //! * `repro_check` re-parses the scenario, loads the artifact and
 //!   verifies every envelope, failing CI when a change pushes the
-//!   simulated system outside the paper's claims. Envelopes touching a
-//!   quarantined cell are reported as skipped, not passed
+//!   simulated system outside the paper's claims. A fluid scenario's
+//!   `[xval]` bands are checked in the same pass against their packet
+//!   anchors' artifacts ([`check_xval`]). Envelopes and bands touching
+//!   a quarantined cell are reported as skipped, not passed
 //!   ([`check_artifact_partial`]).
 //!
 //! The scenario format is a deliberately small line-oriented
@@ -67,7 +70,7 @@ pub use spec::{
     MAX_FLUID_FLOWS,
 };
 pub use supervise::CellError;
-pub use xval::{check_xval, XvalReport, XvalSpec, XvalViolation};
+pub use xval::{check_xval, XvalSpec};
 
 /// Lists the `.scn` files of a directory in name order (the repro
 /// matrix order).

@@ -421,6 +421,7 @@ fn parse_limits(
     // The keys only frozen copies still set: range-checked no-ops, kept
     // for good, because benchmark/scenarios/linux_dctcp_flaws.scn sets
     // both.
+    // frozen-benchmark: limits-retries-deadline
     if let Some(e) = s.get("deadline") {
         parse_positive_duration(e)?;
     }

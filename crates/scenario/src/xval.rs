@@ -16,12 +16,15 @@
 //! max_rel_err = 0.5            # |fluid − packet| / |packet| bound
 //! ```
 //!
-//! The `fluid_check` binary loads both artifacts and gates on the
-//! relative-error band. This is what licenses extrapolation: a fluid
-//! model that tracks the packet engine where both can run is trusted
-//! where only it can (the `N = 10⁴ … 10⁶` scale-out sweeps).
+//! `repro_check` loads the anchor from the same artifacts directory as
+//! the scenario's own artifact and reports each band beside the
+//! envelopes, in the same [`CheckReport`]. This is what licenses
+//! extrapolation: a fluid model that tracks the packet engine where
+//! both can run is trusted where only it can (the `N = 10⁴ … 10⁶`
+//! scale-out sweeps).
 
 use crate::artifact::Artifact;
+use crate::envelope::{CheckReport, Violation};
 use crate::parse::{parse_f64, parse_uint_list, Document};
 use crate::spec::RunSpec;
 use crate::ScenarioError;
@@ -47,46 +50,6 @@ pub struct XvalSpec {
     pub flows: Vec<u32>,
     /// Maximum allowed `|fluid − packet| / |packet|`.
     pub max_rel_err: f64,
-}
-
-/// One flow count outside its cross-validation band.
-#[derive(Debug, Clone, PartialEq)]
-pub struct XvalViolation {
-    /// The violated `[xval]` label.
-    pub label: String,
-    /// The flow count compared.
-    pub flows: u32,
-    /// Fluid-model value.
-    pub fluid: f64,
-    /// Packet-anchor value.
-    pub packet: f64,
-    /// Observed relative error.
-    pub rel_err: f64,
-    /// The committed bound.
-    pub max_rel_err: f64,
-}
-
-impl std::fmt::Display for XvalViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "xval \"{}\": N={}: fluid {:.4} vs packet {:.4} \
-             (rel err {:.3} > {:.3})",
-            self.label, self.flows, self.fluid, self.packet, self.rel_err, self.max_rel_err
-        )
-    }
-}
-
-/// The result of checking one `[xval]` section.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct XvalReport {
-    /// Flow counts compared and inside the band.
-    pub compared: usize,
-    /// Skip messages (quarantined anchor cells — incomplete, not
-    /// wrong).
-    pub skipped: Vec<String>,
-    /// Out-of-band comparisons.
-    pub violations: Vec<XvalViolation>,
 }
 
 /// Parses every `[xval "label"]` section, validating the fluid metric
@@ -152,7 +115,7 @@ pub fn parse_xvals(
             });
         }
         // The anchor's metric name belongs to another scenario's kind;
-        // `fluid_check` validates it against the loaded artifact.
+        // `check_xval` finds it, or not, in the loaded artifact.
         let packet_metric = s
             .get("packet_metric")
             .map_or_else(|| metric.clone(), |e| e.value.clone());
@@ -208,24 +171,27 @@ pub fn parse_xvals(
 
 /// Evaluates one `[xval]` band: for each flow count, compares the
 /// seed-averaged fluid metric against the seed-averaged anchor metric.
-/// Anchor cells under quarantine are *skipped* (reported, not passed);
-/// a missing point or metric in either artifact is an error — a stale
-/// artifact must never read as a pass.
+/// A band whose marking is quarantined on either side is *skipped*
+/// (its label lands in `skipped`, never passed); each out-of-band flow
+/// count is one [`Violation`] under the band's label. A missing point
+/// or metric in either artifact is an error — a stale artifact must
+/// never read as a pass.
 ///
 /// # Errors
 ///
 /// Returns a message naming the missing point or metric.
-pub fn check_xval(x: &XvalSpec, fluid: &Artifact, packet: &Artifact) -> Result<XvalReport, String> {
-    let mut report = XvalReport::default();
-    let quarantined = packet.quarantined_markings();
+pub fn check_xval(
+    x: &XvalSpec,
+    fluid: &Artifact,
+    packet: &Artifact,
+) -> Result<CheckReport, String> {
+    let mut report = CheckReport::default();
+    let quarantined = |a: &Artifact, marking: &str| a.quarantined_markings().contains(&marking);
+    if quarantined(fluid, &x.marking) || quarantined(packet, &x.packet_marking) {
+        report.skipped.push(x.label.clone());
+        return Ok(report);
+    }
     for &n in &x.flows {
-        if quarantined.contains(&x.packet_marking.as_str()) {
-            report.skipped.push(format!(
-                "xval \"{}\": N={n}: anchor marking `{}` is quarantined in `{}`",
-                x.label, x.packet_marking, packet.scenario
-            ));
-            continue;
-        }
         let Some(f) = fluid.metric(&x.marking, n, &x.metric) else {
             return Err(format!(
                 "fluid artifact `{}` lacks {} for ({}, N={n}) — stale artifact? re-run repro",
@@ -248,16 +214,13 @@ pub fn check_xval(x: &XvalSpec, fluid: &Artifact, packet: &Artifact) -> Result<X
             (f - p).abs() / p.abs()
         };
         if rel_err > x.max_rel_err {
-            report.violations.push(XvalViolation {
-                label: x.label.clone(),
-                flows: n,
-                fluid: f,
-                packet: p,
-                rel_err,
-                max_rel_err: x.max_rel_err,
+            report.violations.push(Violation {
+                expect: x.label.clone(),
+                msg: format!(
+                    "N={n}: fluid {f:.4} vs packet {p:.4} (rel err {rel_err:.3} > {:.3})",
+                    x.max_rel_err
+                ),
             });
-        } else {
-            report.compared += 1;
         }
     }
     Ok(report)
@@ -303,9 +266,7 @@ mod tests {
         let fluid = artifact("f", ScenarioKind::Fluid, &[(2, 11.0), (8, 20.0)]);
         let packet = artifact("anchor", ScenarioKind::LongLived, &[(2, 10.0), (8, 18.0)]);
         let r = check_xval(&xval(), &fluid, &packet).unwrap();
-        assert_eq!(r.compared, 2);
-        assert!(r.violations.is_empty());
-        assert!(r.skipped.is_empty());
+        assert_eq!(r, CheckReport::default());
     }
 
     #[test]
@@ -313,12 +274,14 @@ mod tests {
         let fluid = artifact("f", ScenarioKind::Fluid, &[(2, 30.0), (8, 20.0)]);
         let packet = artifact("anchor", ScenarioKind::LongLived, &[(2, 10.0), (8, 18.0)]);
         let r = check_xval(&xval(), &fluid, &packet).unwrap();
-        assert_eq!(r.compared, 1);
+        assert!(r.skipped.is_empty());
         assert_eq!(r.violations.len(), 1);
         let v = &r.violations[0];
-        assert_eq!(v.flows, 2);
-        assert!((v.rel_err - 2.0).abs() < 1e-12);
-        assert!(v.to_string().contains("N=2"), "{v}");
+        assert_eq!(v.expect, "amp");
+        assert_eq!(
+            v.msg,
+            "N=2: fluid 30.0000 vs packet 10.0000 (rel err 2.000 > 0.500)"
+        );
     }
 
     #[test]
@@ -334,19 +297,26 @@ mod tests {
 
     #[test]
     fn quarantined_anchor_markings_skip_not_pass() {
+        let quarantine = |a: &mut Artifact| {
+            a.points.retain(|p| p.flows != 8);
+            a.failures.push(FailureCell {
+                marking: "dctcp".into(),
+                flows: 8,
+                seed: 1,
+                kind: "panicked".into(),
+                msg: "boom".into(),
+            });
+        };
         let fluid = artifact("f", ScenarioKind::Fluid, &[(2, 11.0), (8, 20.0)]);
-        let mut packet = artifact("anchor", ScenarioKind::LongLived, &[(2, 10.0)]);
-        packet.failures.push(FailureCell {
-            marking: "dctcp".into(),
-            flows: 8,
-            seed: 1,
-            kind: "panicked".into(),
-            msg: "boom".into(),
-        });
-        let r = check_xval(&xval(), &fluid, &packet).unwrap();
-        assert_eq!(r.compared, 0);
-        assert_eq!(r.skipped.len(), 2);
-        assert!(r.violations.is_empty());
+        let packet = artifact("anchor", ScenarioKind::LongLived, &[(2, 10.0), (8, 18.0)]);
+        let (mut q_fluid, mut q_packet) = (fluid.clone(), packet.clone());
+        quarantine(&mut q_fluid);
+        quarantine(&mut q_packet);
+        for (fluid, packet) in [(&fluid, &q_packet), (&q_fluid, &packet)] {
+            let r = check_xval(&xval(), fluid, packet).unwrap();
+            assert_eq!(r.skipped, ["amp"]);
+            assert!(r.violations.is_empty());
+        }
     }
 
     #[test]
@@ -362,6 +332,6 @@ mod tests {
         let off = artifact("f", ScenarioKind::Fluid, &[(2, 0.5)]);
         let r = check_xval(&x, &off, &packet).unwrap();
         assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].rel_err.is_infinite());
+        assert!(r.violations[0].msg.contains("rel err inf"));
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `repro` / `repro_check` binaries: the same
 //! artifact either passes or fails `repro_check` depending only on the
-//! committed envelope, and bad scenario files die with line-numbered
-//! diagnostics.
+//! committed envelopes and `[xval]` bands, and bad scenario files die
+//! with line-numbered diagnostics.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -433,6 +433,129 @@ fn repro_check_flags_stale_artifacts() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success());
     assert!(stderr.contains("stale"), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-cell packet anchor for [`XVAL_FLUID_SCN`]'s band.
+const XVAL_ANCHOR_SCN: &str = "\
+[scenario]
+name = cli_anchor
+kind = long_lived
+
+[topology]
+bottleneck = 1 Gbps
+
+[run]
+flows = 2
+warmup = 20 ms
+duration = 15 ms
+trace = 100 us
+
+[marking \"dctcp\"]
+scheme = dctcp
+k = 20 pkts
+";
+
+/// The fluid model at the anchor's operating point, with one `[xval]`
+/// band on the mean queue (measured 18.90 fluid vs 18.13 packet, a
+/// relative error of 0.043).
+const XVAL_FLUID_SCN: &str = "\
+[scenario]
+name = cli_fluid
+kind = fluid
+
+[topology]
+bottleneck = 1 Gbps
+
+[run]
+flows = 2
+warmup = 20 ms
+duration = 15 ms
+dt = 1 us
+trace = 100 us
+
+[marking \"dctcp\"]
+scheme = dctcp
+k = 20 pkts
+
+[xval \"mean-vs-anchor\"]
+packet = cli_anchor
+marking = dctcp
+metric = queue_mean
+flows = 2
+max_rel_err = 0.5
+";
+
+#[test]
+fn repro_check_judges_xval_bands_against_their_anchor() {
+    let dir = unique_dir("xval");
+    let scn = dir.join("scenarios");
+    std::fs::create_dir_all(&scn).unwrap();
+    std::fs::write(scn.join("cli_anchor.scn"), XVAL_ANCHOR_SCN).unwrap();
+    std::fs::write(scn.join("cli_fluid.scn"), XVAL_FLUID_SCN).unwrap();
+    let repro = |dir: &Path| {
+        run_bin(
+            env!("CARGO_BIN_EXE_repro"),
+            &["--all", "scenarios", "--out", "artifacts", "--no-cache"],
+            dir,
+        )
+    };
+    let check = |dir: &Path| {
+        let out = run_bin(
+            env!("CARGO_BIN_EXE_repro_check"),
+            &["--all", "scenarios", "--artifacts", "artifacts"],
+            dir,
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+
+    let out = repro(&dir);
+    assert!(
+        out.status.success(),
+        "repro failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (code, stderr) = check(&dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("0/0 envelopes and 1/1 bands hold"),
+        "{stderr}"
+    );
+
+    // A band tighter than the measured error fails, naming label and N.
+    std::fs::write(
+        scn.join("cli_fluid.scn"),
+        XVAL_FLUID_SCN.replace("max_rel_err = 0.5", "max_rel_err = 0.01"),
+    )
+    .unwrap();
+    let (code, stderr) = check(&dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("FAIL xval \"mean-vs-anchor\": N=2"),
+        "{stderr}"
+    );
+    std::fs::write(scn.join("cli_fluid.scn"), XVAL_FLUID_SCN).unwrap();
+
+    // A quarantined anchor cell skips the band: incomplete, not wrong.
+    std::fs::write(
+        scn.join("cli_anchor.scn"),
+        format!("{XVAL_ANCHOR_SCN}\n[limits]\ninject_panic = dctcp:2:1\n"),
+    )
+    .unwrap();
+    assert_eq!(repro(&dir).status.code(), Some(3));
+    let (code, stderr) = check(&dir);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("SKIP mean-vs-anchor"), "{stderr}");
+
+    // A missing anchor artifact is an error naming the file.
+    std::fs::remove_file(dir.join("artifacts/cli_anchor.json")).unwrap();
+    std::fs::remove_file(scn.join("cli_anchor.scn")).unwrap();
+    let (code, stderr) = check(&dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("mean-vs-anchor"), "{stderr}");
+    assert!(stderr.contains("cli_anchor.json"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,6 +12,8 @@ use crate::{Network, SimError, Simulator};
 /// compiling. Every run is serial. It is a newtype, not an alias,
 /// because the benchmark implements the same trait for both types. New
 /// code uses [`Simulator`].
+// frozen-benchmark: sharded-simulator
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct ShardedSimulator(Simulator);
 

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod fairness;
 mod oscillation;
 mod quantile;
 mod series;
@@ -41,7 +40,6 @@ mod throughput;
 mod time_weighted;
 mod welford;
 
-pub use fairness::jain_fairness_index;
 pub use oscillation::{oscillation, OscillationSummary};
 pub use quantile::Quantiles;
 pub use series::{SeriesSummary, TimeSeries};

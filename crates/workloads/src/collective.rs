@@ -325,6 +325,7 @@ pub struct CollectiveReport {
 /// propagates engine errors.
 pub fn run_collective(
     cfg: &CollectiveConfig,
+    // frozen-benchmark: run-collective-none
     _unused: Option<std::convert::Infallible>,
 ) -> Result<CollectiveReport, SimError> {
     cfg.validate()?;

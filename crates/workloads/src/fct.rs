@@ -191,6 +191,8 @@ impl FctScenario {
     /// # Errors
     ///
     /// As [`FctScenario::instantiate`].
+    // frozen-benchmark: instantiate-with-shards
+    #[doc(hidden)]
     pub fn instantiate_with_shards(&self, _target: usize) -> Result<FctInstance, SimError> {
         self.instantiate()
     }
@@ -262,6 +264,7 @@ impl FctScenario {
             // Chain rack switches with an idle, high-latency trunk. Only
             // the joined network has trunks; they stay while the frozen
             // benchmark's `fct_churn` builds that network.
+            // frozen-benchmark: rack-trunks
             if let Some(&prev) = switches.last() {
                 b.link(
                     prev,

@@ -58,8 +58,11 @@ pub use testbed::{
 // uses `control` or `fluid` any more; both stay, with the manifest
 // dependencies behind them, because the frozen benchmark builds
 // `--locked` against a lockfile that lists them under this crate.
+// frozen-benchmark: workloads-control-fluid
+#[doc(hidden)]
 pub use dctcp_control as control;
 pub use dctcp_core as core;
+#[doc(hidden)]
 pub use dctcp_fluid as fluid;
 pub use dctcp_parallel as parallel;
 pub use dctcp_sim as sim;
