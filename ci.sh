@@ -6,8 +6,9 @@
 #   ci.sh quick   fmt + frozen-benchmark ledger (the tags in crates/
 #                 match DESIGN.md's table) + clippy + release build +
 #                 tier-1 tests + fluid
-#                 model tests + engine and transport unit tests
-#                 (dctcp-sim, dctcp-tcp) + benchmark compile check
+#                 model tests + engine, transport and statistics unit
+#                 tests (dctcp-sim, dctcp-tcp, dctcp-stats) + benchmark
+#                 compile check
 #                 (the frozen benchmark must still build against the
 #                 workspace's public API) + rustdoc with warnings
 #                 denied (the PR gate: minutes, catches most breakage)
@@ -22,8 +23,9 @@
 #                 benchmark/run.sh --quick) + supervision gate (quarantine
 #                 exit codes, failure replay from the cache, kill -9
 #                 mid-matrix resume) + fct-parity gate (the million-flow churn
-#                 scenario must render byte-identical FCT artifacts at
-#                 1 and 2 repro threads) + paper tier (scenarios/paper/,
+#                 scenario at 1 repro thread must render the FCT
+#                 artifact the matrix gate's 2-thread cold pass
+#                 rendered, byte for byte) + paper tier (scenarios/paper/,
 #                 the paper's figures at paper scale, run cold after the
 #                 matrix gate and checked against their envelopes)
 #                 (the merge gate: everything the repo can check)
@@ -74,11 +76,12 @@ echo "==> cargo test (fluid model unit + property tests)"
 # damping ordering) is cheap enough for the PR gate.
 cargo test --offline -q -p dctcp-fluid
 
-echo "==> cargo test (engine + transport unit tests)"
+echo "==> cargo test (engine + transport + statistics unit tests)"
 # The calendar-queue differential and hot-bucket tests, the port-ring
-# tests and the churn agents' tests live in these crates' lib targets;
-# under a second of test time, so they gate every PR.
-cargo test --offline -q -p dctcp-sim -p dctcp-tcp --lib
+# tests, the churn agents' tests and the quantile sketch's dense-oracle
+# tests live in these crates' lib targets; under a second of test
+# time, so they gate every PR.
+cargo test --offline -q -p dctcp-sim -p dctcp-tcp -p dctcp-stats --lib
 
 echo "==> cargo check (benchmark against the workspace API)"
 # The benchmark is a separate package pinned to the public API it
@@ -136,10 +139,12 @@ echo "==> scenario-matrix gate (cold repro -> repro_check -> warm repro)"
 # from the cache (>= 1 hit, 0 misses — asserted via repro's
 # machine-readable stdout summary) and reproduce the cold artifacts
 # byte for byte. That exercises the whole memoization path end to end:
-# key derivation, entry round-trip, and bit-exact re-rendering.
+# key derivation, entry round-trip, and bit-exact re-rendering. The
+# cold pass runs at 2 threads, which makes it the 2-thread leg of the
+# fct-parity gate below.
 rm -rf artifacts/cache artifacts/repro
 cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
-    --out artifacts/repro --cache artifacts/cache --all scenarios/
+    --out artifacts/repro --cache artifacts/cache --threads 2 --all scenarios/
 cargo run --offline --release -q -p dctcp-scenario --bin repro_check -- \
     --artifacts artifacts/repro --all scenarios/
 REPRO_COLD="$(mktemp -d -t repro_cold.XXXXXX)"
@@ -312,35 +317,30 @@ esac
 diff "$SUP_DIR/resume/fig05_oscillation.json" artifacts/repro/fig05_oscillation.json
 
 echo "==> fct-parity gate (thread-count byte-identity on the churn scenario)"
-# The scenario-matrix gate above already ran fct_churn cold and warm
-# and validated its envelopes (a million completed flows per marking,
-# DT-DCTCP short-flow p99 below DCTCP's). This gate pins the other
-# half of the claim: the streaming FCT sketches must merge to
-# byte-identical artifacts whether repro runs the cells on one worker
-# thread or two. Every run is cold so each cell actually simulates. A
-# quarantine (exit 3) of this committed scenario is a hard failure,
-# named explicitly so the uploaded artifact can be found; any other
-# nonzero exit fails too.
+# The scenario-matrix gate above already ran fct_churn cold at 2
+# threads, then warm, and validated its envelopes (a million completed
+# flows per marking, DT-DCTCP short-flow p99 below DCTCP's). This gate
+# pins the other half of the claim: the streaming FCT sketches must
+# merge to byte-identical artifacts whether repro runs the cells on one
+# worker thread or two. The 1-thread run is cold so each cell actually
+# simulates, and is diffed against the matrix gate's 2-thread
+# artifact. A quarantine (exit 3) of this committed scenario is a hard
+# failure, named explicitly so the uploaded artifact can be found; any
+# other nonzero exit fails too.
 FCT_DIR="$(mktemp -d -t fct_parity.XXXXXX)"
 trap 'rm -rf "$REPRO_COLD" "$SUP_DIR" "$FCT_DIR"' EXIT
-for FCT_THREADS in 2 1; do
-    FCT_CODE=0
-    cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
-        --out "$FCT_DIR/t$FCT_THREADS" --no-cache --threads "$FCT_THREADS" \
-        scenarios/fct_churn.scn || FCT_CODE=$?
-    if [ "$FCT_CODE" -eq 3 ]; then
-        echo "ci.sh: fct_churn quarantined a cell at $FCT_THREADS thread(s)" >&2
-        echo "ci.sh: post-mortem artifact: $FCT_DIR/t$FCT_THREADS/fct_churn.json" >&2
-        cp "$FCT_DIR/t$FCT_THREADS/fct_churn.json" artifacts/fct_churn_quarantined.json 2>/dev/null || true
-        exit 1
-    elif [ "$FCT_CODE" -ne 0 ]; then
-        echo "ci.sh: fct_churn failed at $FCT_THREADS thread(s) (exit $FCT_CODE)" >&2
-        exit 1
-    fi
-done
-diff "$FCT_DIR/t2/fct_churn.json" "$FCT_DIR/t1/fct_churn.json"
-# ... and the parity runs must match what the matrix gate rendered
-# under the default layout.
-diff "$FCT_DIR/t2/fct_churn.json" artifacts/repro/fct_churn.json
+FCT_CODE=0
+cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
+    --out "$FCT_DIR/t1" --no-cache --threads 1 scenarios/fct_churn.scn || FCT_CODE=$?
+if [ "$FCT_CODE" -eq 3 ]; then
+    echo "ci.sh: fct_churn quarantined a cell at 1 thread" >&2
+    echo "ci.sh: post-mortem artifact: $FCT_DIR/t1/fct_churn.json" >&2
+    cp "$FCT_DIR/t1/fct_churn.json" artifacts/fct_churn_quarantined.json 2>/dev/null || true
+    exit 1
+elif [ "$FCT_CODE" -ne 0 ]; then
+    echo "ci.sh: fct_churn failed at 1 thread (exit $FCT_CODE)" >&2
+    exit 1
+fi
+diff "$FCT_DIR/t1/fct_churn.json" artifacts/repro/fct_churn.json
 
 echo "CI full gate passed."

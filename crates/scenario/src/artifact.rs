@@ -191,16 +191,13 @@ impl Artifact {
         self.points.len() + self.failures.len() == expected
     }
 
-    /// Marking labels with at least one quarantined cell, in
-    /// first-appearance order.
-    pub fn quarantined_markings(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for f in &self.failures {
-            if !out.contains(&f.marking.as_str()) {
-                out.push(&f.marking);
-            }
-        }
-        out
+    /// Whether the point `(marking, flows)` has a quarantined cell at
+    /// any seed — its seed average then lacks data the run could not
+    /// produce.
+    pub fn is_quarantined(&self, marking: &str, flows: u32) -> bool {
+        self.failures
+            .iter()
+            .any(|f| f.marking == marking && f.flows == flows)
     }
 
     /// Sorted distinct flow counts recorded for a marking.
@@ -418,7 +415,8 @@ mod tests {
         assert_eq!(parsed, a);
         assert!(parsed.accounts_for(4));
         assert!(!parsed.accounts_for(3));
-        assert_eq!(parsed.quarantined_markings(), vec!["dctcp", "dt-dctcp"]);
+        assert!(parsed.is_quarantined("dctcp", 4) && parsed.is_quarantined("dt-dctcp", 4));
+        assert!(!parsed.is_quarantined("dctcp", 8) && !parsed.is_quarantined("pie", 4));
         // Fields are read by name, so a failure line carrying a field
         // this version no longer writes parses to the same manifest.
         let older = rendered.replace("\"msg\"", "\"dropped\": 2, \"msg\"");

@@ -10,7 +10,7 @@
 //! failure) and evaluates every `[expect]` envelope. A fluid scenario's
 //! `[xval]` bands are evaluated too, against their packet anchors'
 //! artifacts from the same directory (each loaded once). Envelopes and
-//! bands that touch a quarantined cell are reported as *skipped* — a
+//! bands that read a quarantined cell are reported as *skipped* — a
 //! failure to measure is never a pass. Exit codes:
 //!
 //! * `0` — every envelope and band evaluated and held;
@@ -80,7 +80,7 @@ impl Tally {
     /// against it.
     fn of(section: &str, total: usize, report: &CheckReport) -> Tally {
         for name in &report.skipped {
-            eprintln!("repro_check:   SKIP {name} — touches a quarantined cell");
+            eprintln!("repro_check:   SKIP {name} — reads a quarantined cell");
         }
         let mut violated: Vec<&str> = Vec::new();
         for v in &report.violations {

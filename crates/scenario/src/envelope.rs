@@ -297,26 +297,30 @@ pub fn check_artifact(expectations: &[Expectation], artifact: &Artifact) -> Vec<
 
 /// The result of checking a possibly-partial artifact: violations from
 /// the expectations that could be evaluated, and the labels of those
-/// that were skipped because a marking they constrain was quarantined.
+/// that were skipped because a point they read was quarantined.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckReport {
     /// Violated expectations, with context.
     pub violations: Vec<Violation>,
-    /// Labels of expectations skipped over quarantined markings.
+    /// Labels of expectations skipped over quarantined points.
     pub skipped: Vec<String>,
 }
 
 /// [`check_artifact`] for artifacts that may carry a quarantine
-/// manifest: expectations touching a quarantined marking are *skipped*
-/// (reported by label, not silently dropped) instead of failing over
-/// data the run could not produce; every other expectation is evaluated
-/// normally. With an empty `failures` block this is exactly
+/// manifest: expectations that read a quarantined `(marking, N)` point
+/// are *skipped* (reported by label, not silently dropped) instead of
+/// failing over data the run could not produce; every other expectation
+/// — including one on the same marking at other flow counts — is
+/// evaluated normally. With an empty `failures` block this is exactly
 /// [`check_artifact`].
 pub fn check_artifact_partial(expectations: &[Expectation], artifact: &Artifact) -> CheckReport {
-    let quarantined = artifact.quarantined_markings();
     let mut report = CheckReport::default();
     for e in expectations {
-        if touches_quarantined(&e.check, &quarantined) {
+        if artifact
+            .failures
+            .iter()
+            .any(|f| reads(&e.check, &f.marking, f.flows))
+        {
             report.skipped.push(e.label.clone());
         } else {
             check_one(e, artifact, &mut report.violations);
@@ -325,22 +329,29 @@ pub fn check_artifact_partial(expectations: &[Expectation], artifact: &Artifact)
     report
 }
 
-/// Whether a check constrains any quarantined marking. A check with no
-/// marking selector constrains all of them.
-fn touches_quarantined(check: &ExpectCheck, quarantined: &[&str]) -> bool {
-    if quarantined.is_empty() {
-        return false;
-    }
-    let hit = |m: &str| quarantined.contains(&m);
+/// Whether a check reads the point `(marking, n)`. A missing marking or
+/// flow selector reads every marking or flow count; `ordered` reads
+/// both markings from `from_flows` on, and `monotone_increasing` the
+/// marking's whole sweep.
+fn reads(check: &ExpectCheck, marking: &str, n: u32) -> bool {
+    let in_flows = |flows: &Option<Vec<u32>>| flows.as_ref().is_none_or(|f| f.contains(&n));
     match check {
-        ExpectCheck::MetricRange { marking, .. } => marking.as_deref().is_none_or(hit),
+        ExpectCheck::MetricRange {
+            marking: m, flows, ..
+        } => m.as_deref().is_none_or(|m| m == marking) && in_flows(flows),
         ExpectCheck::Ordered {
-            lesser, greater, ..
-        } => hit(lesser) || hit(greater),
-        ExpectCheck::MonotoneIncreasing { marking, .. } => hit(marking),
+            lesser,
+            greater,
+            from_flows,
+            ..
+        } => (lesser == marking || greater == marking) && n >= *from_flows,
+        ExpectCheck::MonotoneIncreasing { marking: m, .. } => m == marking,
         ExpectCheck::Ratio {
-            lesser, greater, ..
-        } => hit(lesser) || hit(greater),
+            lesser,
+            greater,
+            flows,
+            ..
+        } => (lesser == marking || greater == marking) && in_flows(flows),
     }
 }
 
@@ -657,10 +668,10 @@ mod tests {
         );
     }
 
-    fn quarantine(a: &mut Artifact, marking: &str) {
+    fn quarantine(a: &mut Artifact, marking: &str, flows: u32) {
         a.failures.push(crate::artifact::FailureCell {
             marking: marking.into(),
-            flows: 8,
+            flows,
             seed: 1,
             kind: "panicked".into(),
             msg: "boom".into(),
@@ -705,16 +716,88 @@ mod tests {
         // Quarantine `dt`: its band, the unselective band, and the
         // cross-marking ordering are skipped; `dc`'s band still runs.
         let mut partial = artifact(vec![point("dc", 2, 3.0), point("dc", 8, 4.0)]);
-        quarantine(&mut partial, "dt");
+        quarantine(&mut partial, "dt", 8);
         let r = check_artifact_partial(&expectations, &partial);
         assert_eq!(r.skipped, vec!["band-dt", "band-all", "dt-below"]);
         assert!(r.violations.is_empty());
 
         // A violation on the surviving marking is still caught.
         let mut bad = artifact(vec![point("dc", 2, 999.0)]);
-        quarantine(&mut bad, "dt");
+        quarantine(&mut bad, "dt", 8);
         let r = check_artifact_partial(&expectations, &bad);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].expect, "band-dc");
+
+        // Quarantine `dt` at N = 2 only. Checks that read `dt` at N = 8
+        // alone are evaluated; those that read its whole sweep, or
+        // every point, are still skipped.
+        let expect = |label: &str, check: ExpectCheck| Expectation {
+            label: label.into(),
+            check,
+        };
+        let mut checks = vec![
+            expect(
+                "band-dt-8",
+                ExpectCheck::MetricRange {
+                    metric: "queue_std".into(),
+                    marking: Some("dt".into()),
+                    flows: Some(vec![8]),
+                    min: Some(0.0),
+                    max: Some(100.0),
+                },
+            ),
+            expect(
+                "dt-below-8",
+                ExpectCheck::Ordered {
+                    metric: "queue_std".into(),
+                    lesser: "dt".into(),
+                    greater: "dc".into(),
+                    from_flows: 8,
+                },
+            ),
+            expect(
+                "damping-8",
+                ExpectCheck::Ratio {
+                    metric: "queue_std".into(),
+                    lesser: "dt".into(),
+                    greater: "dc".into(),
+                    flows: Some(vec![8]),
+                    max_ratio: 0.5,
+                    min_ratio: None,
+                },
+            ),
+        ];
+        // `dt`'s band over every N, the unselective band and the
+        // ordering from N = 0.
+        checks.extend_from_slice(&expectations[1..]);
+        checks.push(expect(
+            "dt-grows",
+            ExpectCheck::MonotoneIncreasing {
+                metric: "queue_std".into(),
+                marking: "dt".into(),
+                min_ratio: 1.0,
+            },
+        ));
+        let expectations = checks;
+        let mut unread = artifact(vec![
+            point("dc", 2, 3.0),
+            point("dc", 8, 4.0),
+            point("dt", 8, 3.0),
+        ]);
+        quarantine(&mut unread, "dt", 2);
+        let r = check_artifact_partial(&expectations, &unread);
+        assert_eq!(
+            r.skipped,
+            vec!["band-dt", "band-all", "dt-below", "dt-grows"]
+        );
+        // The N = 8 checks ran: the damping ratio 3/4 is above 0.5.
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].expect, "damping-8");
+        // At N = 8 every one of them reads the quarantined point.
+        let mut read = artifact(vec![point("dc", 2, 3.0), point("dc", 8, 4.0)]);
+        quarantine(&mut read, "dt", 8);
+        let r = check_artifact_partial(&expectations, &read);
+        assert_eq!(r.skipped.len(), expectations.len());
+        assert!(r.violations.is_empty());
     }
 }

@@ -171,8 +171,9 @@ pub fn parse_xvals(
 
 /// Evaluates one `[xval]` band: for each flow count, compares the
 /// seed-averaged fluid metric against the seed-averaged anchor metric.
-/// A band whose marking is quarantined on either side is *skipped*
-/// (its label lands in `skipped`, never passed); each out-of-band flow
+/// A band that reads a quarantined point — its marking at one of its
+/// flow counts, on either side — is *skipped* (its label lands in
+/// `skipped`, never passed); each out-of-band flow
 /// count is one [`Violation`] under the band's label. A missing point
 /// or metric in either artifact is an error — a stale artifact must
 /// never read as a pass.
@@ -186,8 +187,9 @@ pub fn check_xval(
     packet: &Artifact,
 ) -> Result<CheckReport, String> {
     let mut report = CheckReport::default();
-    let quarantined = |a: &Artifact, marking: &str| a.quarantined_markings().contains(&marking);
-    if quarantined(fluid, &x.marking) || quarantined(packet, &x.packet_marking) {
+    if x.flows.iter().any(|&n| {
+        fluid.is_quarantined(&x.marking, n) || packet.is_quarantined(&x.packet_marking, n)
+    }) {
         report.skipped.push(x.label.clone());
         return Ok(report);
     }
@@ -295,27 +297,140 @@ mod tests {
         assert!(check_xval(&xval(), &fluid, &packet).is_err());
     }
 
+    /// Moves the `(marking, n)` point of `a` into its quarantine
+    /// manifest.
+    fn quarantine(a: &mut Artifact, marking: &str, n: u32) {
+        a.points
+            .retain(|p| (p.marking.as_str(), p.flows) != (marking, n));
+        a.failures.push(FailureCell {
+            marking: marking.into(),
+            flows: n,
+            seed: 1,
+            kind: "panicked".into(),
+            msg: "boom".into(),
+        });
+    }
+
     #[test]
     fn quarantined_anchor_markings_skip_not_pass() {
-        let quarantine = |a: &mut Artifact| {
-            a.points.retain(|p| p.flows != 8);
-            a.failures.push(FailureCell {
-                marking: "dctcp".into(),
-                flows: 8,
-                seed: 1,
-                kind: "panicked".into(),
-                msg: "boom".into(),
-            });
-        };
         let fluid = artifact("f", ScenarioKind::Fluid, &[(2, 11.0), (8, 20.0)]);
         let packet = artifact("anchor", ScenarioKind::LongLived, &[(2, 10.0), (8, 18.0)]);
         let (mut q_fluid, mut q_packet) = (fluid.clone(), packet.clone());
-        quarantine(&mut q_fluid);
-        quarantine(&mut q_packet);
+        quarantine(&mut q_fluid, "dctcp", 8);
+        quarantine(&mut q_packet, "dctcp", 8);
         for (fluid, packet) in [(&fluid, &q_packet), (&q_fluid, &packet)] {
             let r = check_xval(&xval(), fluid, packet).unwrap();
             assert_eq!(r.skipped, ["amp"]);
             assert!(r.violations.is_empty());
+        }
+
+        // A quarantined point the band does not read skips nothing: the
+        // band compares N = 8 only, the failed cell is at N = 2.
+        let mut at_8 = xval();
+        at_8.flows = vec![8];
+        let (mut q_fluid, mut q_packet) = (fluid.clone(), packet.clone());
+        quarantine(&mut q_fluid, "dctcp", 2);
+        quarantine(&mut q_packet, "dctcp", 2);
+        for (fluid, packet) in [(&fluid, &q_packet), (&q_fluid, &packet)] {
+            let r = check_xval(&at_8, fluid, packet).unwrap();
+            assert_eq!(r, CheckReport::default());
+        }
+        // ... so it is evaluated, and still catches a drift there.
+        let drifted = artifact("f", ScenarioKind::Fluid, &[(2, 11.0), (8, 40.0)]);
+        let r = check_xval(&at_8, &drifted, &q_packet).unwrap();
+        assert!(r.skipped.is_empty());
+        assert_eq!(r.violations.len(), 1);
+    }
+
+    /// The committed `fluid_xval` bands all compare N ≥ 8: a quarantined
+    /// `dctcp` cell at N = 2 skips none of them, on either side, while
+    /// one at N = 8 skips every band that compares `dctcp` there.
+    #[test]
+    fn fluid_xval_bands_skip_only_on_points_they_read() {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fluid_xval.scn");
+        let spec = crate::ScenarioSpec::load(&path).expect("committed scenario parses");
+        // One fluid and one anchor artifact in which every compared
+        // metric reads 1.0 at every point, so every band holds.
+        let metrics = |pick: fn(&XvalSpec) -> &String| -> Vec<(String, f64)> {
+            spec.xvals.iter().map(|x| (pick(x).clone(), 1.0)).collect()
+        };
+        let points = |markings: Vec<String>, metrics: Vec<(String, f64)>| -> Vec<Point> {
+            let mut out = Vec::new();
+            for m in markings {
+                for &n in &spec.run.flows {
+                    out.push(Point {
+                        marking: m.clone(),
+                        flows: n,
+                        seed: 1,
+                        metrics: metrics.clone(),
+                    });
+                }
+            }
+            out
+        };
+        let whole = |kind, markings, metrics| Artifact {
+            scenario: "synthetic".into(),
+            kind,
+            points: points(markings, metrics),
+            failures: Vec::new(),
+        };
+        let fluid = whole(
+            ScenarioKind::Fluid,
+            spec.markings.iter().map(|(l, _)| l.clone()).collect(),
+            metrics(|x| &x.metric),
+        );
+        let mut anchor_markings: Vec<String> = spec
+            .xvals
+            .iter()
+            .map(|x| x.packet_marking.clone())
+            .collect();
+        anchor_markings.sort();
+        anchor_markings.dedup();
+        let packet = whole(
+            ScenarioKind::LongLived,
+            anchor_markings,
+            metrics(|x| &x.packet_metric),
+        );
+        let skipped = |fluid: &Artifact, packet: &Artifact| -> Vec<String> {
+            spec.xvals
+                .iter()
+                .flat_map(|x| {
+                    let r = check_xval(x, fluid, packet).expect("every point present");
+                    assert!(r.violations.is_empty(), "{:?}", r.violations);
+                    r.skipped
+                })
+                .collect()
+        };
+        assert!(skipped(&fluid, &packet).is_empty());
+        for n in [2, 8] {
+            let (mut q_fluid, mut q_packet) = (fluid.clone(), packet.clone());
+            quarantine(&mut q_fluid, "dctcp", n);
+            quarantine(&mut q_packet, "dctcp", n);
+            let expected: &[&str] = if n == 2 {
+                &[]
+            } else {
+                &[
+                    "queue-mean-vs-fig05",
+                    "queue-std-vs-fig05",
+                    "amplitude-vs-fig05",
+                    "utilization-vs-fig05",
+                    "k40-mean-vs-threshold",
+                ]
+            };
+            assert_eq!(skipped(&q_fluid, &packet), expected, "fluid N = {n}");
+            // The anchor's `dctcp` marking is compared by the fig05
+            // bands only (the threshold anchor calls it `k40`).
+            let anchor_expected: Vec<&str> = expected
+                .iter()
+                .copied()
+                .filter(|l| l.ends_with("fig05"))
+                .collect();
+            assert_eq!(
+                skipped(&fluid, &q_packet),
+                anchor_expected,
+                "anchor N = {n}"
+            );
         }
     }
 

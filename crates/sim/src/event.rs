@@ -17,7 +17,12 @@
 //!   O(B²) of a min-scan per pop. Until the cursor moves on, schedules
 //!   into that one bucket insert in order; every other bucket appends.
 //!   Because the window is exactly one wheel revolution, a bucket never
-//!   mixes events from different laps.
+//!   mixes events from different laps. Only occupied buckets hold a
+//!   buffer: a bucket that empties (on the pop path or in a compaction
+//!   sweep) puts its buffer on a spare stack, and an insert into a
+//!   bucket without one takes it back, so the wheel's memory follows
+//!   the buckets occupied at once, not every bucket the window has
+//!   passed over.
 //! * **Level 1 — sorted overflow.** Deadlines beyond the window go to a
 //!   binary heap ordered by `(at, prio, seq)` and migrate into the wheel
 //!   as the cursor advances toward them.
@@ -194,7 +199,13 @@ pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<TokenHasher>>;
 pub(crate) struct EventQueue {
     /// Level 0: the timer wheel. All entries in bucket `i & mask` share
     /// the absolute bucket index `i ∈ [cursor, cursor + NUM_BUCKETS)`.
+    /// Only occupied buckets hold a buffer: an emptied bucket hands its
+    /// buffer to `spare`.
     wheel: Vec<Vec<ScheduledEvent>>,
+    /// Buffers of emptied buckets, taken back by the next insert into a
+    /// bucket without one. Buckets plus spares hold no more buffers than
+    /// the most buckets ever occupied at once.
+    spare: Vec<Vec<ScheduledEvent>>,
     /// The bucket the cursor is draining, kept sorted latest-first so
     /// its earliest entry is the tail. Only this bucket is ordered.
     sorted_slot: Option<usize>,
@@ -239,6 +250,7 @@ impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
             wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             sorted_slot: None,
             occupied: [0; BITMAP_WORDS],
             cursor: 0,
@@ -355,6 +367,7 @@ impl EventQueue {
             removed += before - bucket.len();
             if bucket.is_empty() {
                 self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
+                self.spare.push(std::mem::take(bucket));
             }
         }
         self.wheel_len -= removed;
@@ -379,6 +392,11 @@ impl EventQueue {
         if idx < self.cursor + NUM_BUCKETS as u64 {
             let slot = (idx as usize) & (NUM_BUCKETS - 1);
             let bucket = &mut self.wheel[slot];
+            if bucket.capacity() == 0 {
+                if let Some(buf) = self.spare.pop() {
+                    *bucket = buf;
+                }
+            }
             if self.sorted_slot == Some(slot) {
                 let pos = bucket.partition_point(|e| e.key() > ev.key());
                 bucket.insert(pos, ev);
@@ -493,6 +511,7 @@ impl EventQueue {
             let ev = bucket.pop().expect("occupied bucket");
             if bucket.is_empty() {
                 self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
+                self.spare.push(std::mem::take(bucket));
             }
             self.wheel_len -= 1;
             self.len -= 1;
@@ -1018,6 +1037,60 @@ mod tests {
                 h.mid_bucket_stops
             );
         }
+    }
+
+    /// Bucket buffers the queue holds: the occupied buckets' plus the
+    /// spares.
+    fn buffers_held(q: &EventQueue) -> usize {
+        q.wheel.iter().filter(|b| b.capacity() > 0).count() + q.spare.len()
+    }
+
+    fn buckets_occupied(q: &EventQueue) -> usize {
+        q.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// A dense window of events a few dozen buckets deep slides over
+    /// many wheel laps, so every bucket fills and empties again and
+    /// again. Each emptied bucket's buffer must go to the next bucket to
+    /// fill: the queue never holds more buffers than the most buckets
+    /// occupied at once, far fewer than the wheel has.
+    #[test]
+    fn bucket_buffers_follow_the_occupied_window() {
+        const WIDTH: u64 = 1 << WIDTH_SHIFT;
+        const AHEAD: u64 = 64;
+        const LAPS: u64 = 20;
+        let mut rng = SplitMix64::new(5);
+        let mut q = EventQueue::new();
+        let mut token = 0;
+        let mut peak = 0;
+        let mut check = |q: &EventQueue| {
+            peak = buckets_occupied(q).max(peak);
+            let held = buffers_held(q);
+            assert!(held <= peak, "{held} buffers, peak occupancy {peak}");
+        };
+        for _ in 0..3 * AHEAD {
+            q.schedule_t0(
+                SimTime::from_nanos(rng.next_u64() % (AHEAD * WIDTH)),
+                timer(0, token),
+            );
+            token += 1;
+            check(&q);
+        }
+        let mut clock = 0;
+        while clock < LAPS * NUM_BUCKETS as u64 * WIDTH {
+            let (at, _) = q.pop().expect("window never drains");
+            clock = at.as_nanos();
+            check(&q);
+            // Each pop schedules one successor about AHEAD buckets out.
+            let next = clock + AHEAD * WIDTH + rng.next_u64() % (8 * WIDTH);
+            q.schedule_t0(SimTime::from_nanos(next), timer(0, token));
+            token += 1;
+            check(&q);
+        }
+        assert!(
+            peak < NUM_BUCKETS / 4,
+            "window too wide to tell: {peak} buckets at once"
+        );
     }
 
     fn drain_tokens(q: &mut EventQueue) -> Vec<u64> {

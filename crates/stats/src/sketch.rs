@@ -9,6 +9,14 @@
 //! counter addition, so per-host (or per-rack) sketches combine into
 //! the exact sketch of the concatenated streams — merge order cannot
 //! change a single bit of the result.
+//!
+//! Counts are stored with DDSketch's store-with-offset layout: only the
+//! bins from the lowest to the highest occupied one are kept, behind an
+//! offset. A sketch's memory therefore follows the spread of its data
+//! (an FCT class touches a few dozen bins) rather than the full
+//! `[1e-9, 1e5]` range, and an empty sketch allocates nothing. The bin
+//! index of every value, and so every quantile, is the same as with a
+//! dense array of all [`BINS`] bins.
 
 use std::fmt;
 
@@ -23,10 +31,17 @@ const MIN_VALUE: f64 = 1e-9;
 /// Largest distinguishable value; inputs above clamp to the last bin.
 const MAX_VALUE: f64 = 1e5;
 
-/// The per-sketch bin count, fixed so any two sketches merge. With
+/// The bin index range, fixed so any two sketches merge. With
 /// `α = 1%` the ratio `γ ≈ 1.0202` gives `ln(MAX/MIN)/ln γ ≈ 1611`
-/// bins — ~13 KB per sketch.
+/// bins. A sketch stores only its occupied bin range, so its bytes are
+/// proportional to that range, at most `8 · BINS`.
 const BINS: usize = 1616;
+
+/// `ln γ`, pinned bit for bit. Written as `gamma().ln()`, it is folded
+/// at compile time with the build host's libm; spelling the bits out
+/// keeps every bin boundary independent of where the crate was built.
+/// A unit test checks it against the run-time `ln`.
+const LN_GAMMA: f64 = f64::from_bits(0x3f94_7b0e_059d_057d);
 
 fn gamma() -> f64 {
     (1.0 + SKETCH_ALPHA) / (1.0 - SKETCH_ALPHA)
@@ -49,7 +64,12 @@ fn gamma() -> f64 {
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct QuantileSketch {
+    /// Counts of bins `lo .. lo + counts.len()`. Canonical, so the
+    /// derived `PartialEq` compares counts: either empty with `lo = 0`,
+    /// or with a non-zero first and last entry.
     counts: Vec<u64>,
+    /// Bin index of `counts[0]`.
+    lo: usize,
     count: u64,
     sum: f64,
     min: f64,
@@ -74,11 +94,13 @@ impl fmt::Debug for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Creates an empty sketch. The bin array is allocated once, here,
-    /// so recording is allocation-free.
+    /// Creates an empty sketch. Allocates nothing: the bin range grows
+    /// with the first samples and, once it covers the data's spread,
+    /// recording is allocation-free.
     pub fn new() -> Self {
         QuantileSketch {
-            counts: vec![0; BINS],
+            counts: Vec::new(),
+            lo: 0,
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -120,18 +142,50 @@ impl QuantileSketch {
             return;
         }
         let clamped = v.clamp(MIN_VALUE, MAX_VALUE);
-        self.counts[Self::bin_index(clamped)] += 1;
+        let i = Self::bin_index(clamped);
+        // One bounds check covers both sides: below `lo` the index wraps
+        // to a huge offset.
+        match self.counts.get_mut(i.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(i),
+        }
         self.count += 1;
         self.sum += clamped;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
+    /// Counts one sample in bin `i`, which lies outside the stored
+    /// range. Out of line, so the common in-range record stays one
+    /// compare and one increment.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, i: usize) {
+        self.widen(i, i);
+        self.counts[i - self.lo] += 1;
+    }
+
+    /// Widens the stored range to cover bins `lo ..= hi`, the new bins
+    /// zero. The caller then adds to the new end bins (one sample, or a
+    /// merged canonical range), which keeps the range canonical.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.lo = lo;
+        } else if lo < self.lo {
+            let grow = self.lo - lo;
+            self.counts.resize(self.counts.len() + grow, 0);
+            self.counts.rotate_right(grow);
+            self.lo = lo;
+        }
+        let len = (hi + 1 - self.lo).max(self.counts.len());
+        self.counts.resize(len, 0);
+    }
+
     /// Bin for a value already clamped into `[MIN_VALUE, MAX_VALUE]`:
     /// `ceil(log_γ(v / MIN_VALUE))`, clamped into range so float
     /// round-off at the edges cannot index out of bounds.
     fn bin_index(v: f64) -> usize {
-        let i = (v / MIN_VALUE).ln() / gamma().ln();
+        let i = (v / MIN_VALUE).ln() / LN_GAMMA;
         (i.ceil() as i64).clamp(0, BINS as i64 - 1) as usize
     }
 
@@ -156,12 +210,14 @@ impl QuantileSketch {
             return None;
         }
         // Nearest-rank: the smallest sample with cumulative count >= r.
+        // Bins outside the stored range are empty, so walking only the
+        // range finds the same bin.
         let r = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (k, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= r {
-                return Some(Self::bin_value(i).clamp(self.min, self.max));
+                return Some(Self::bin_value(self.lo + k).clamp(self.min, self.max));
             }
         }
         Some(self.max)
@@ -169,12 +225,18 @@ impl QuantileSketch {
 
     /// Merges `other` into `self`: afterwards `self` is exactly the
     /// sketch of both input streams concatenated. Element-wise counter
-    /// addition — deterministic and order-insensitive up to float
-    /// summation order of `sum` (quantiles depend only on integer
-    /// counts).
+    /// addition over `other`'s stored range — deterministic and
+    /// order-insensitive up to float summation order of `sum`
+    /// (quantiles depend only on integer counts).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if !other.counts.is_empty() {
+            // Both ranges are canonical, so the union's end bins are
+            // non-zero after the addition and it stays canonical.
+            self.widen(other.lo, other.lo + other.counts.len() - 1);
+            let from = other.lo - self.lo;
+            for (a, b) in self.counts[from..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -313,7 +375,7 @@ mod tests {
         ba.merge(&a);
         // Quantile state (integer counts, min, max, count) is identical;
         // `sum` differs only in float addition order.
-        assert_eq!(ab.counts, ba.counts);
+        assert_eq!((ab.lo, &ab.counts), (ba.lo, &ba.counts));
         assert_eq!(ab.count, ba.count);
         assert_eq!(ab.min, ba.min);
         assert_eq!(ab.max, ba.max);
@@ -337,7 +399,7 @@ mod tests {
         bc.merge(&c);
         let mut a_bc = a.clone();
         a_bc.merge(&bc);
-        assert_eq!(ab_c.counts, a_bc.counts);
+        assert_eq!((ab_c.lo, &ab_c.counts), (a_bc.lo, &a_bc.counts));
         assert_eq!(ab_c.count, a_bc.count);
         for &q in QS {
             assert_eq!(
@@ -369,7 +431,7 @@ mod tests {
         for s in &parts {
             merged.merge(s);
         }
-        assert_eq!(serial.counts, merged.counts);
+        assert_eq!((serial.lo, &serial.counts), (merged.lo, &merged.counts));
         for &q in QS {
             assert_eq!(
                 serial.quantile(q).map(f64::to_bits),
@@ -386,5 +448,185 @@ mod tests {
         for &q in QS {
             assert_eq!(s.quantile(q), Some(0.042));
         }
+    }
+
+    #[test]
+    fn ln_gamma_matches_the_run_time_log() {
+        let run_time = std::hint::black_box(gamma()).ln();
+        assert_eq!(LN_GAMMA.to_bits(), run_time.to_bits());
+    }
+
+    /// The dense layout the offset store replaced: all `BINS` counters
+    /// allocated up front, `ln γ` computed in `bin_index`, every
+    /// quantile a walk from bin 0. Kept as the oracle that the offset
+    /// store changes no bin and no quantile bit.
+    struct DenseSketch {
+        counts: Vec<u64>,
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+    }
+
+    impl DenseSketch {
+        fn new() -> Self {
+            DenseSketch {
+                counts: vec![0; BINS],
+                count: 0,
+                sum: 0.0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+            }
+        }
+
+        fn bin_index(v: f64) -> usize {
+            let i = (v / MIN_VALUE).ln() / gamma().ln();
+            (i.ceil() as i64).clamp(0, BINS as i64 - 1) as usize
+        }
+
+        fn record(&mut self, v: f64) {
+            if !v.is_finite() {
+                return;
+            }
+            let clamped = v.clamp(MIN_VALUE, MAX_VALUE);
+            self.counts[Self::bin_index(clamped)] += 1;
+            self.count += 1;
+            self.sum += clamped;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            if self.count == 0 || !(0.0..=1.0).contains(&q) {
+                return None;
+            }
+            let r = ((q * self.count as f64).ceil() as u64).max(1);
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= r {
+                    return Some(QuantileSketch::bin_value(i).clamp(self.min, self.max));
+                }
+            }
+            Some(self.max)
+        }
+    }
+
+    /// A seeded stream over the whole representable range and past
+    /// both ends: log-uniform over `[1e-12, 1e7]`, plus FCT-like
+    /// values, plus non-finite inputs that must be ignored.
+    fn oracle_stream(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        (0..n)
+            .map(|_| match rng.next_u32() % 16 {
+                0 => 1e-12,
+                1 => 1e7,
+                2 => f64::NAN,
+                3..=7 => 10f64.powf(-12.0 + 19.0 * rng.next_f64()),
+                _ => 1e-4 / (1.0 - rng.next_f64()).powf(0.8),
+            })
+            .collect()
+    }
+
+    const ORACLE_QS: &[f64] = &[
+        0.0, 1e-4, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.9999, 1.0,
+    ];
+
+    fn assert_matches_dense(s: &QuantileSketch, d: &DenseSketch) {
+        for (i, &dense) in d.counts.iter().enumerate() {
+            let stored = s.counts.get(i.wrapping_sub(s.lo)).copied().unwrap_or(0);
+            assert_eq!(stored, dense, "bin {i}");
+        }
+        assert_eq!(s.count, d.count);
+        assert_eq!(s.sum.to_bits(), d.sum.to_bits());
+        assert_eq!(s.min.to_bits(), d.min.to_bits());
+        assert_eq!(s.max.to_bits(), d.max.to_bits());
+        for &q in ORACLE_QS {
+            assert_eq!(
+                s.quantile(q).map(f64::to_bits),
+                d.quantile(q).map(f64::to_bits),
+                "q = {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn offset_store_matches_the_dense_oracle() {
+        let top = QuantileSketch::bin_index(MAX_VALUE);
+        for seed in 1..=6 {
+            let mut s = QuantileSketch::new();
+            let mut d = DenseSketch::new();
+            assert_matches_dense(&s, &d);
+            for (k, v) in oracle_stream(seed, 20_000).into_iter().enumerate() {
+                s.record(v);
+                d.record(v);
+                if k % 4_999 == 0 {
+                    assert_matches_dense(&s, &d);
+                }
+            }
+            // Both clamped edges were hit: bin 0 and the highest bin a
+            // clamped value can reach.
+            assert!(d.counts[0] > 0 && d.counts[top] > 0, "seed {seed}");
+            assert_matches_dense(&s, &d);
+            // Canonical: the stored range is exactly the occupied one.
+            assert!(s.counts[0] > 0 && *s.counts.last().unwrap() > 0);
+        }
+    }
+
+    /// `a == b` apart from `sum`, which depends on float addition order
+    /// and is checked to agree within round-off instead.
+    fn assert_same_counts(a: &QuantileSketch, b: &QuantileSketch) {
+        assert!(
+            (a.sum - b.sum).abs() <= 1e-9 * b.sum.abs(),
+            "{} vs {}",
+            a.sum,
+            b.sum
+        );
+        let aligned = QuantileSketch {
+            sum: b.sum,
+            ..a.clone()
+        };
+        assert_eq!(&aligned, b, "lo {} / {}", a.lo, b.lo);
+    }
+
+    #[test]
+    fn random_merges_equal_the_sketch_of_the_whole_stream() {
+        for seed in 1..=8u64 {
+            let mut rng = Pcg32::seed_from_u64(100 + seed);
+            let stream = oracle_stream(seed, 6_000);
+            let mut whole = QuantileSketch::new();
+            for &v in &stream {
+                whole.record(v);
+            }
+            // Random split into up to 6 parts (some may stay empty),
+            // merged in a random order.
+            let parts_n = 1 + rng.next_u32() as usize % 6;
+            let mut parts = vec![QuantileSketch::new(); parts_n];
+            for &v in &stream {
+                parts[rng.next_u32() as usize % parts_n].record(v);
+            }
+            let mut order: Vec<usize> = (0..parts_n).collect();
+            for i in (1..parts_n).rev() {
+                order.swap(i, rng.next_u32() as usize % (i + 1));
+            }
+            let mut merged = QuantileSketch::new();
+            for &p in &order {
+                merged.merge(&parts[p]);
+            }
+            assert_same_counts(&merged, &whole);
+            // Merging an empty sketch, or into one, changes nothing.
+            merged.merge(&QuantileSketch::new());
+            assert_same_counts(&merged, &whole);
+            let mut from_empty = QuantileSketch::new();
+            from_empty.merge(&whole);
+            assert_eq!(from_empty, whole);
+        }
+    }
+
+    #[test]
+    fn new_sketch_allocates_nothing() {
+        let s = QuantileSketch::new();
+        assert_eq!(s.counts.capacity(), 0);
+        assert_eq!(s, QuantileSketch::default());
     }
 }

@@ -1,12 +1,14 @@
 //! Allocation-pressure ceilings on the two recycled hot paths: packet
 //! forwarding (packet slab + SoA queue rings) and open-loop flow churn
-//! (slab-recycled senders, generation tags, streaming sketches). Counts
-//! are machine-independent, so unlike a timing they can gate on any
-//! container. One `#[test]` on purpose: the counter is process-global,
-//! and a second test running concurrently would allocate into it.
+//! (slab-recycled senders, generation tags, streaming sketches), and a
+//! ceiling on the churn cell's peak live heap. Counts and bytes are
+//! machine-independent, so unlike a timing or an RSS they can gate on
+//! any container. One `#[test]` on purpose: the counters are
+//! process-global, and a second test running concurrently would
+//! allocate into them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use dt_dctcp::sim::{
     Agent, Context, Ecn, FlowId, LinkSpec, NodeId, Packet, QueueConfig, SimDuration, Simulator,
@@ -14,31 +16,44 @@ use dt_dctcp::sim::{
 };
 use dt_dctcp::workloads::FctScenario;
 
-/// Counts heap allocations. One relaxed increment per allocation; frees
-/// are not counted (the ceilings gate allocation pressure, not churn
-/// symmetry).
+/// Counts heap allocations and tracks live and peak heap bytes. Frees
+/// do not count as allocations (those ceilings gate allocation
+/// pressure, not churn symmetry); they only lower the live bytes.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of `LIVE` since the last [`peak_live`] reset.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow_live(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // so the caller's `GlobalAlloc` contract (valid layout; `ptr` from this
-// allocator with that layout) is exactly `System`'s; the counter is a
-// relaxed atomic that touches no allocator state.
+// allocator with that layout) is exactly `System`'s; the counters are
+// relaxed atomics that touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size());
         // SAFETY: forwarded under the caller's contract (see the impl).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: forwarded under the caller's contract (see the impl).
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow_live(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: forwarded under the caller's contract (see the impl).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,6 +67,15 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// Runs `f`, returning its result and the peak live heap it added over
+/// what was live when it started, in bytes.
+fn peak_live<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - base)
 }
 
 /// Ceiling on forwarding allocs/event. The packet slab and the SoA
@@ -70,6 +94,14 @@ const ALLOCS_PER_EVENT_LIMIT: f64 = 0.05;
 /// per-flow Box/Vec (which adds several allocations per open/close,
 /// not a fraction).
 const ALLOCS_PER_FLOW_LIMIT: f64 = 2.0;
+
+/// Ceiling on the churn cell's peak live heap, in bytes. Sketches that
+/// store only their occupied bin range and wheel buckets that hand an
+/// emptied bucket's buffer on keep it near 0.54 MB (measured 541 940).
+/// Either old layout crosses it: dense 1 616-bin sketches read 804 468,
+/// a buffer kept in every bucket the window has passed over 1 161 788,
+/// and both 1 425 852.
+const CHURN_PEAK_LIVE_BYTES_LIMIT: usize = 700_000;
 
 /// Sends `count` ECT data packets to `peer` at start, then only sinks.
 #[derive(Debug)]
@@ -161,7 +193,7 @@ fn hot_paths_stay_allocation_free() {
     // timer-map growth, amortized over the flows — the ceiling bounds
     // the worst case, not a warmed steady state.
     let cell = churn_cell();
-    let (report, allocs) = counting(|| cell.run());
+    let ((report, allocs), peak) = peak_live(|| counting(|| cell.run()));
     let report = report.expect("churn run");
     assert_eq!(report.aborted, 0, "churn cell must not abort flows");
     assert_eq!(
@@ -179,5 +211,10 @@ fn hot_paths_stay_allocation_free() {
         "per-flow state stopped recycling: {per_flow:.4} allocs/flow \
          ({allocs} allocs / {} flows) exceeds {ALLOCS_PER_FLOW_LIMIT}",
         report.completed
+    );
+    assert!(
+        peak <= CHURN_PEAK_LIVE_BYTES_LIMIT,
+        "churn cell's peak live heap is {peak} B, above {CHURN_PEAK_LIVE_BYTES_LIMIT} B: \
+         storage no longer follows live state"
     );
 }
